@@ -160,9 +160,12 @@ impl NesterovOptimizer {
         model.clamp_to_region();
     }
 
-    /// Clones the main solution `u` (for best-solution snapshots).
-    pub fn u_clone(&self) -> (Vec<f64>, Vec<f64>) {
-        (self.u_x.clone(), self.u_y.clone())
+    /// Copies the main solution `u` into `snap` (for best-solution
+    /// snapshots), reusing its buffers once they exist.
+    pub fn snapshot_u(&self, snap: &mut Option<(Vec<f64>, Vec<f64>)>) {
+        let (ux, uy) = snap.get_or_insert_with(Default::default);
+        ux.clone_from(&self.u_x);
+        uy.clone_from(&self.u_y);
     }
 
     /// Restores a previously snapshotted main solution.

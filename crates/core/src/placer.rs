@@ -227,7 +227,8 @@ impl GlobalPlacer {
     /// schedule on the original netlist — the only traced run, so the
     /// event schema is identical to flat placement. The returned report
     /// covers the whole multilevel run: iterations and the modeled-device
-    /// profile accumulate across levels, while the quality fields
+    /// profile accumulate across levels, the wall time spans coarsening,
+    /// every level and the seeding between them, while the quality fields
     /// (HPWL/overflow) are those of the final full-netlist run.
     fn place_multilevel(
         &mut self,
@@ -235,6 +236,7 @@ impl GlobalPlacer {
         sink: &mut dyn TelemetrySink,
         ckpt: CheckpointOptions<'_>,
     ) -> Result<PlacementReport, PlaceError> {
+        let start = Instant::now();
         let ml = self.config.multilevel;
         let opts = xplace_db::HierarchyOptions {
             min_cells: ml.min_cells,
@@ -285,6 +287,7 @@ impl GlobalPlacer {
         let mut report = self.place_flat(design, sink, ckpt)?;
         report.iterations += coarse_iterations;
         accumulate_profile(&mut report.profile, coarse_profile);
+        report.wall_seconds = start.elapsed().as_secs_f64();
         Ok(report)
     }
 
@@ -427,6 +430,7 @@ impl GlobalPlacer {
         }
 
         let mut paused = false;
+        let omega_sums = precond::OmegaSums::new(&model);
 
         for iter in start_iter..schedule.max_iterations {
             let pause_here = ckpt.stop_at == Some(iter);
@@ -554,20 +558,17 @@ impl GlobalPlacer {
             };
             // Split borrows: the optimizer reads gradients owned by the
             // engine while mutating the model.
-            let (gx, gy) = {
-                let (a, b) = engine.grads();
-                (a.to_vec(), b.to_vec())
-            };
-            opt.step(&device, &mut model, &gx, &gy, fused_optimizer);
+            let (gx, gy) = engine.grads();
+            opt.step(&device, &mut model, gx, gy, fused_optimizer);
             model.clamp_to_fences();
             if eval.overflow < best_overflow {
                 best_overflow = eval.overflow;
                 best_iter = iter;
-                best_u = Some(opt.u_clone());
+                opt.snapshot_u(&mut best_u);
             }
 
             // Scheduler (Algorithm 1): stage-aware parameter cadence.
-            omega = precond::omega(&model, params.lambda);
+            omega = omega_sums.omega(params.lambda);
             if tracing {
                 let stage = stage_of(omega);
                 if stage != cur_stage {
@@ -1008,6 +1009,23 @@ mod tests {
             assert!(p.x >= r.lx - 1e-6 && p.x <= r.ux + 1e-6);
             assert!(p.y >= r.ly - 1e-6 && p.y <= r.uy + 1e-6);
         }
+    }
+
+    #[test]
+    fn multilevel_wall_time_covers_the_coarse_levels() {
+        // A short final level makes the coarse levels most of the run, so
+        // a report timing only the final level falls far below the bound.
+        let mut design = synthesize(&SynthesisSpec::new("ml", 1500, 1600).with_seed(41)).unwrap();
+        let mut placer = GlobalPlacer::new(multilevel_cfg(20));
+        let start = Instant::now();
+        let report = placer.place(&mut design).unwrap();
+        let measured = start.elapsed().as_secs_f64();
+        assert!(report.iterations > 20, "the coarse levels must have run");
+        assert!(
+            report.wall_seconds >= 0.9 * measured,
+            "report wall {}s covers too little of the measured {measured}s",
+            report.wall_seconds
+        );
     }
 
     #[test]

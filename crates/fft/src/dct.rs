@@ -225,11 +225,11 @@ pub fn plan_cache_evictions() -> usize {
 #[derive(Debug, Clone)]
 pub struct DctPlan {
     len: usize,
-    rfft: RealFftPlan,
+    pub(crate) rfft: RealFftPlan,
     /// e^{-i pi k / (2N)} for k in 0..N.
-    phase_fwd: Vec<Complex>,
+    pub(crate) phase_fwd: Vec<Complex>,
     /// e^{+i pi k / (2N)} for k in 0..N.
-    phase_inv: Vec<Complex>,
+    pub(crate) phase_inv: Vec<Complex>,
     /// Half-spectrum scratch, N + 1 slots.
     spec: Vec<Complex>,
     /// Real even-extension scratch, 2N samples.

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod batch;
 mod complex;
 mod dct;
 mod error;

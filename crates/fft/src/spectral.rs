@@ -21,8 +21,10 @@
 //! ```
 //!
 //! which is exactly what DREAMPlace evaluates with its `dct2`/`idct2`/
-//! `idxst` kernel family; here the transforms come from [`DctPlan`].
+//! `idxst` kernel family; here the transforms are the batched form of
+//! [`DctPlan`]'s, bit for bit.
 
+use crate::batch::{BatchDct, TILE};
 use crate::{DctPlan, FftError, Grid2};
 use xplace_parallel::WorkerPool;
 
@@ -53,11 +55,14 @@ impl FieldSolution {
 
 /// Spectral Poisson solver for the placement density system.
 ///
-/// The solver owns all transform plans and scratch memory; a `solve` call
-/// performs one DCT-II analysis batch and one fused synthesis pass that
-/// scales the spectrum for the potential, `Ex` and `Ey` in a single sweep
-/// and transforms all three streams together, with no allocation when used
-/// through [`ElectrostaticSolver::solve_into`].
+/// A solve is four batched transform passes ([`crate::batch`]): DCT-II
+/// analysis along y, then along x (scaled into `psi` coefficients), then
+/// the potential/`Ex`/`Ey` syntheses along x, then along y straight into
+/// the output grids. Each pass transforms tiles of grid columns with the
+/// batch axis contiguous; the transposes between passes are folded into
+/// the pack and store loops. All scratch lives in five grid-sized buffers
+/// owned by the solver, so [`ElectrostaticSolver::solve_into`] allocates
+/// nothing but the per-launch task list.
 ///
 /// ```
 /// use xplace_fft::{ElectrostaticSolver, Grid2};
@@ -85,160 +90,83 @@ pub struct ElectrostaticSolver {
     wx: Vec<f64>,
     /// w_v = pi v / ny.
     wy: Vec<f64>,
-    /// Normalized analysis coefficients a_uv, laid out `v * nx + u` so each
-    /// x-transform reads/writes one contiguous row.
-    coeffs: Vec<f64>,
-    /// y-analysis scratch, laid out `ix * ny + v` (one row per grid row).
-    ybuf: Vec<f64>,
-    /// x-synthesis scratch for the potential, laid out `v * nx + ix`.
+    /// Length-`nx` transform tables (from the plan cache).
+    plan_x: BatchDct,
+    /// Length-`ny` transform tables (from the plan cache).
+    plan_y: BatchDct,
+    /// Real and imaginary transform planes, tile after tile.
+    re: Vec<f64>,
+    im: Vec<f64>,
+    /// y-analysis output, laid out `ix * ny + v`; then the x-synthesized
+    /// potential coefficients, laid out `v * nx + ix`.
     sbuf_pot: Vec<f64>,
-    /// x-synthesis scratch for `Ex` (same layout).
+    /// Scaled coefficients `a_uv / w^2`, laid out `v * nx + u`; the `Ex`
+    /// x-synthesis overwrites each row in place (`v * nx + ix`).
     sbuf_ex: Vec<f64>,
-    /// x-synthesis scratch for `Ey` (same layout).
+    /// x-synthesized `Ey` coefficients, laid out `v * nx + ix`.
     sbuf_ey: Vec<f64>,
-    /// Launch width for the row/column transform batches (>= 1).
+    /// Launch width for the tile batches (>= 1).
     threads: usize,
-    /// Pool the transform batches launch on (the process-global pool by
+    /// Pool the tile batches launch on (the process-global pool by
     /// default; batch schedulers inject their own handle).
     pool: &'static WorkerPool,
-    /// One transform context per potential worker; `ctxs[0]` also serves the
-    /// serial path.
-    ctxs: Vec<SolverCtx>,
 }
 
-/// Per-worker transform state: private `DctPlan` scratch plus staging
-/// buffers, so parallel row batches never contend on plan internals.
-#[derive(Debug, Clone)]
-struct SolverCtx {
-    plan_x: DctPlan,
-    plan_y: DctPlan,
-    /// Strided-read staging buffer, `3 * max(nx, ny)` long — one row for
-    /// each of the potential/`Ex`/`Ey` streams of the fused passes.
-    gather: Vec<f64>,
-}
-
-/// Splits a staging buffer into three disjoint `len`-sample rows.
-fn split3(buf: &mut [f64], len: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
-    let (a, rest) = buf.split_at_mut(len);
-    let (b, rest) = rest.split_at_mut(len);
-    (a, b, &mut rest[..len])
-}
-
-/// Runs `op(ctx, row, dst_row)` for every `row in 0..rows`, where `dst` is a
-/// dense `rows x row_len` buffer, batching contiguous row ranges across the
-/// global worker pool (at most `width` wide, one [`SolverCtx`] per batch).
+/// Runs `f(tile, re, im, outs)` for every tile of the transform planes,
+/// where `re`/`im` are the tile's `tile_len` plane samples and each of
+/// `outs` is the tile's `tile_len`-long chunk of an output grid. Contiguous
+/// tile ranges are spread over at most `width` pool tasks.
 ///
-/// Every row's transform reads only its own inputs and writes only its own
-/// `row_len` output slice, so the result is bit-identical for **any** task
-/// split; `width <= 1` (or a single row) short-circuits to a plain serial
-/// loop with no pool involvement.
-fn par_rows<F>(
+/// A tile's transforms read only shared inputs and write only the tile's
+/// own planes and output chunks, and every column goes through the same
+/// operations whichever task runs it, so the result is bit-identical for
+/// **any** width; `width <= 1` (or a single tile) runs inline.
+fn run_tiles<const K: usize, F>(
     pool: &WorkerPool,
-    ctxs: &mut [SolverCtx],
     width: usize,
-    dst: &mut [f64],
-    row_len: usize,
-    rows: usize,
-    op: F,
-) -> Result<(), FftError>
-where
-    F: Fn(&mut SolverCtx, usize, &mut [f64]) -> Result<(), FftError> + Sync,
+    tile_len: usize,
+    re: &mut [f64],
+    im: &mut [f64],
+    outs: [&mut [f64]; K],
+    f: F,
+) where
+    F: Fn(usize, &mut [f64], &mut [f64], [&mut [f64]; K]) + Sync,
 {
-    debug_assert_eq!(dst.len(), rows * row_len);
-    let tasks = width.min(rows).min(ctxs.len()).max(1);
-    if tasks <= 1 {
-        let ctx = &mut ctxs[0];
-        for (row, out) in dst.chunks_mut(row_len).enumerate() {
-            op(ctx, row, out)?;
+    let run = |t0: usize, re: &mut [f64], im: &mut [f64], outs: [&mut [f64]; K]| {
+        let mut outs = outs.map(|o| o.chunks_exact_mut(tile_len));
+        let planes = re
+            .chunks_exact_mut(tile_len)
+            .zip(im.chunks_exact_mut(tile_len));
+        for (t, (re, im)) in planes.enumerate() {
+            let chunks = outs
+                .each_mut()
+                .map(|o| o.next().expect("output grids match the planes"));
+            f(t0 + t, re, im, chunks);
         }
-        return Ok(());
+    };
+    let tiles = re.len() / tile_len;
+    let tasks = width.min(tiles).max(1);
+    if tasks == 1 {
+        run(0, re, im, outs);
+        return;
     }
-    let chunk_rows = rows.div_ceil(tasks);
-    let mut states: Vec<(usize, &mut SolverCtx, &mut [f64])> = ctxs
-        .iter_mut()
-        .zip(dst.chunks_mut(chunk_rows * row_len))
+    let per_task = tiles.div_ceil(tasks);
+    let span = per_task * tile_len;
+    let mut outs = outs.map(|o| o.chunks_mut(span));
+    let mut states: Vec<_> = re
+        .chunks_mut(span)
+        .zip(im.chunks_mut(span))
         .enumerate()
-        .map(|(i, (ctx, chunk))| (i * chunk_rows, ctx, chunk))
+        .map(|(i, (re, im))| {
+            let chunks = outs
+                .each_mut()
+                .map(|o| o.next().expect("output grids match the planes"));
+            (i * per_task, re, im, chunks)
+        })
         .collect();
-    let results = pool.run_mut(&mut states, tasks, |_, state| {
-        let (row0, ctx, chunk) = state;
-        for (offset, out) in chunk.chunks_mut(row_len).enumerate() {
-            op(ctx, *row0 + offset, out)?;
-        }
-        Ok(())
+    pool.run_mut(&mut states, tasks, |_, (t0, re, im, outs)| {
+        run(*t0, re, im, outs.each_mut().map(|o| &mut **o));
     });
-    results.into_iter().collect::<Result<Vec<()>, _>>()?;
-    Ok(())
-}
-
-/// The three-stream sibling of [`par_rows`]: runs
-/// `op(ctx, row, d0_row, d1_row, d2_row)` for every `row in 0..rows`, where
-/// `d0`/`d1`/`d2` are three dense `rows x row_len` buffers advancing in
-/// lockstep (the potential/`Ex`/`Ey` streams of the fused field passes).
-///
-/// The row-range decomposition is identical to [`par_rows`] — fixed by
-/// `rows` and `width`, never by completion order — so the result is
-/// bit-identical for any thread count.
-fn par_rows3<F>(
-    pool: &WorkerPool,
-    ctxs: &mut [SolverCtx],
-    width: usize,
-    d0: &mut [f64],
-    d1: &mut [f64],
-    d2: &mut [f64],
-    row_len: usize,
-    rows: usize,
-    op: F,
-) -> Result<(), FftError>
-where
-    F: Fn(&mut SolverCtx, usize, &mut [f64], &mut [f64], &mut [f64]) -> Result<(), FftError> + Sync,
-{
-    debug_assert_eq!(d0.len(), rows * row_len);
-    debug_assert_eq!(d1.len(), rows * row_len);
-    debug_assert_eq!(d2.len(), rows * row_len);
-    let tasks = width.min(rows).min(ctxs.len()).max(1);
-    if tasks <= 1 {
-        let ctx = &mut ctxs[0];
-        for (row, ((o0, o1), o2)) in d0
-            .chunks_mut(row_len)
-            .zip(d1.chunks_mut(row_len))
-            .zip(d2.chunks_mut(row_len))
-            .enumerate()
-        {
-            op(ctx, row, o0, o1, o2)?;
-        }
-        return Ok(());
-    }
-    let chunk_rows = rows.div_ceil(tasks);
-    type Chunk3<'a> = (
-        usize,
-        &'a mut SolverCtx,
-        &'a mut [f64],
-        &'a mut [f64],
-        &'a mut [f64],
-    );
-    let mut states: Vec<Chunk3> = ctxs
-        .iter_mut()
-        .zip(d0.chunks_mut(chunk_rows * row_len))
-        .zip(d1.chunks_mut(chunk_rows * row_len))
-        .zip(d2.chunks_mut(chunk_rows * row_len))
-        .enumerate()
-        .map(|(i, (((ctx, c0), c1), c2))| (i * chunk_rows, ctx, c0, c1, c2))
-        .collect();
-    let results = pool.run_mut(&mut states, tasks, |_, state| {
-        let (row0, ctx, c0, c1, c2) = state;
-        for (offset, ((o0, o1), o2)) in c0
-            .chunks_mut(row_len)
-            .zip(c1.chunks_mut(row_len))
-            .zip(c2.chunks_mut(row_len))
-            .enumerate()
-        {
-            op(ctx, *row0 + offset, o0, o1, o2)?;
-        }
-        Ok(())
-    });
-    results.into_iter().collect::<Result<Vec<()>, _>>()?;
-    Ok(())
 }
 
 impl ElectrostaticSolver {
@@ -249,11 +177,8 @@ impl ElectrostaticSolver {
     /// Returns [`FftError::EmptyLength`] / [`FftError::NotPowerOfTwo`] when
     /// either dimension is not a nonzero power of two.
     pub fn new(nx: usize, ny: usize) -> Result<Self, FftError> {
-        let ctx = SolverCtx {
-            plan_x: DctPlan::cached(nx)?,
-            plan_y: DctPlan::cached(ny)?,
-            gather: vec![0.0; 3 * nx.max(ny)],
-        };
+        let plan_x = BatchDct::from_plan(&DctPlan::cached(nx)?);
+        let plan_y = BatchDct::from_plan(&DctPlan::cached(ny)?);
         let wx = (0..nx)
             .map(|u| std::f64::consts::PI * u as f64 / nx as f64)
             .collect();
@@ -265,14 +190,15 @@ impl ElectrostaticSolver {
             ny,
             wx,
             wy,
-            coeffs: vec![0.0; nx * ny],
-            ybuf: vec![0.0; nx * ny],
+            plan_x,
+            plan_y,
+            re: vec![0.0; nx * ny],
+            im: vec![0.0; nx * ny],
             sbuf_pot: vec![0.0; nx * ny],
             sbuf_ex: vec![0.0; nx * ny],
             sbuf_ey: vec![0.0; nx * ny],
             threads: 1,
             pool: xplace_parallel::global(),
-            ctxs: vec![ctx],
         })
     }
 
@@ -281,30 +207,24 @@ impl ElectrostaticSolver {
         (self.nx, self.ny)
     }
 
-    /// Sets the launch width for the transform batches (clamped to >= 1) and
-    /// provisions one private transform context per worker.
+    /// Sets the launch width for the tile batches (clamped to >= 1).
     ///
-    /// Per-row transforms are arithmetic-independent, so the solution is
-    /// bit-identical for every thread count; `threads` only changes how the
-    /// row batches are scheduled.
+    /// Every grid column is transformed by the same operations whichever
+    /// task runs it, so the solution is bit-identical for every thread
+    /// count; `threads` only changes how the tiles are scheduled.
     pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        self.threads = threads;
-        if self.ctxs.len() < threads {
-            let template = self.ctxs[0].clone();
-            self.ctxs.resize(threads, template);
-        }
+        self.threads = threads.max(1);
     }
 
-    /// Current launch width for the transform batches.
+    /// Current launch width for the tile batches.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Redirects the transform batches onto `pool` (the process-global pool
-    /// is used until this is called).
+    /// Redirects the tile batches onto `pool` (the process-global pool is
+    /// used until this is called).
     ///
-    /// Per-row transforms are arithmetic-independent and the task-to-row
+    /// Column transforms are arithmetic-independent and the tile-to-column
     /// mapping is fixed, so the solution is bit-identical regardless of
     /// which pool executes the batches.
     pub fn set_pool(&mut self, pool: &'static WorkerPool) {
@@ -324,14 +244,14 @@ impl ElectrostaticSolver {
     }
 
     /// Solves the electrostatic system into a caller-provided buffer,
-    /// performing no allocation.
+    /// performing no grid allocation.
     ///
-    /// One DCT-II analysis batch is followed by a single fused pass over
-    /// the spectrum: each coefficient row is scaled into the
-    /// potential/`Ex`/`Ey` streams in one sweep (`psi = a/w^2`,
-    /// `Ex = a w_u/w^2`, `Ey = a w_v/w^2`) and all three streams are
-    /// synthesized together — two fused transform batches instead of three
-    /// independent scale-plus-synthesize passes.
+    /// The DCT-II analysis (y, then x) yields normalized coefficients
+    /// `a_uv`, stored already divided by `w^2` (the `(0,0)` mode dropped).
+    /// The x-synthesis pass then transforms the potential (`psi = a/w^2`,
+    /// cosine), `Ex` (`a w_u/w^2`, sine) and `Ey` (`a w_v/w^2`, cosine)
+    /// streams of each tile back to back, and the y-synthesis pass
+    /// (cosine, cosine, sine) writes the three output grids.
     ///
     /// # Errors
     ///
@@ -343,8 +263,8 @@ impl ElectrostaticSolver {
         self.check_grid(&out.field_x)?;
         self.check_grid(&out.field_y)?;
 
-        self.analyze(density)?;
-        self.synthesize_fused(out)?;
+        self.analyze(density);
+        self.synthesize(out);
 
         out.energy = 0.5
             * density
@@ -366,41 +286,46 @@ impl ElectrostaticSolver {
         Ok(())
     }
 
-    /// 2-D DCT-II analysis into normalized synthesis coefficients `a_uv`
-    /// such that `rho = sum a_uv cos cos` exactly.
-    ///
-    /// Both passes batch their independent 1-D transforms across the worker
-    /// pool (`self.threads` wide); each row only reads its own inputs, so the
-    /// coefficients are bit-identical for every thread count.
-    fn analyze(&mut self, density: &Grid2) -> Result<(), FftError> {
+    /// 2-D DCT-II analysis into `sbuf_ex[v * nx + u] = a_uv / w_uv^2`, where
+    /// `a_uv` are the normalized synthesis coefficients (`rho = sum a_uv cos
+    /// cos` exactly) and the `(0,0)` mode is zero.
+    fn analyze(&mut self, density: &Grid2) {
         let (nx, ny) = (self.nx, self.ny);
-        // Transform along y (contiguous grid rows) into `ybuf` (ix, v).
-        par_rows(
+        let (plan_x, plan_y, wx, wy) = (&self.plan_x, &self.plan_y, &self.wx, &self.wy);
+        // Along y: tiles of grid rows ix; output rows ix of `sbuf_pot`.
+        let w = TILE.min(nx);
+        let rho = density.as_slice();
+        run_tiles(
             self.pool,
-            &mut self.ctxs,
             self.threads,
-            &mut self.ybuf,
-            ny,
-            nx,
-            |ctx, ix, out| ctx.plan_y.analyze(density.row(ix), out),
-        )?;
-        // Transform along x; write normalized coefficients (v, u).
+            w * ny,
+            &mut self.re,
+            &mut self.im,
+            [&mut self.sbuf_pot],
+            |t, re, im, [ybuf]| {
+                let src = &rho[t * w * ny..(t + 1) * w * ny];
+                plan_y.pack_forward(re, im, w, |m, c| src[c * ny + m]);
+                plan_y.analyze(re, im, w);
+                plan_y.store_analysis(re, w, ybuf, |_, _, v| v);
+            },
+        );
+        // Along x: tiles of y-frequencies v; output rows v of `sbuf_ex`.
+        let w = TILE.min(ny);
         let norm = 4.0 / (nx as f64 * ny as f64);
-        let ybuf = &self.ybuf;
-        par_rows(
+        let ybuf = &self.sbuf_pot;
+        run_tiles(
             self.pool,
-            &mut self.ctxs,
             self.threads,
-            &mut self.coeffs,
-            nx,
-            ny,
-            |ctx, v, out| {
-                let gather = &mut ctx.gather[..nx];
-                for (ix, g) in gather.iter_mut().enumerate() {
-                    *g = ybuf[ix * ny + v];
-                }
-                ctx.plan_x.analyze(gather, out)?;
-                for (u, c) in out.iter_mut().enumerate() {
+            w * nx,
+            &mut self.re,
+            &mut self.im,
+            [&mut self.sbuf_ex],
+            |t, re, im, [coeffs]| {
+                let v0 = t * w;
+                plan_x.pack_forward(re, im, w, |m, c| ybuf[m * ny + v0 + c]);
+                plan_x.analyze(re, im, w);
+                plan_x.store_analysis(re, w, coeffs, |u, c, a| {
+                    let v = v0 + c;
                     let mut beta = norm;
                     if u == 0 {
                         beta *= 0.5;
@@ -408,93 +333,77 @@ impl ElectrostaticSolver {
                     if v == 0 {
                         beta *= 0.5;
                     }
-                    *c *= beta;
-                }
-                Ok(())
+                    let a = a * beta;
+                    let (wu, wv) = (wx[u], wy[v]);
+                    let wv2 = wv * wv;
+                    if wv2 == 0.0 && u == 0 {
+                        0.0
+                    } else {
+                        a / (wu * wu + wv2)
+                    }
+                });
             },
-        )
+        );
     }
 
-    /// Fused synthesis of all three field maps out of `self.coeffs`.
+    /// Synthesis of all three field maps out of the scaled coefficients in
+    /// `sbuf_ex`.
     ///
-    /// The x-stage walks each coefficient row once, producing the scaled
-    /// potential/`Ex`/`Ey` coefficient rows in a single autovectorizable
-    /// sweep over the spectrum, then runs the three x-transforms (cosine,
-    /// sine, cosine) back to back while the row is hot in cache. The
-    /// y-stage gathers the three columns together and finishes with the
-    /// cosine/cosine/sine y-transforms straight into the output grids.
-    /// Parallel structure mirrors [`Self::analyze`].
-    fn synthesize_fused(&mut self, out: &mut FieldSolution) -> Result<(), FftError> {
+    /// Along x, each tile of y-frequencies runs the potential (cosine) and
+    /// `Ey` (cosine) transforms into `sbuf_pot`/`sbuf_ey`, then `Ex` (sine)
+    /// last, in place over its own coefficient rows, which it has finished
+    /// reading by then. Along y, each tile of grid rows runs the cosine,
+    /// cosine and sine transforms straight into the output grids.
+    fn synthesize(&mut self, out: &mut FieldSolution) {
         let (nx, ny) = (self.nx, self.ny);
-        let (coeffs, wx, wy) = (&self.coeffs, &self.wx, &self.wy);
-        par_rows3(
+        let (plan_x, plan_y, wx, wy) = (&self.plan_x, &self.plan_y, &self.wx, &self.wy);
+        let w = TILE.min(ny);
+        run_tiles(
             self.pool,
-            &mut self.ctxs,
             self.threads,
-            &mut self.sbuf_pot,
-            &mut self.sbuf_ex,
-            &mut self.sbuf_ey,
-            nx,
-            ny,
-            |ctx, v, d_pot, d_ex, d_ey| {
-                let row = &coeffs[v * nx..(v + 1) * nx];
-                let wv = wy[v];
-                let wv2 = wv * wv;
-                let (c_pot, c_ex, c_ey) = split3(&mut ctx.gather, nx);
-                // One pass over the coefficient row produces all three
-                // scaled streams; the (0,0) mode is dropped (w^2 = 0).
-                let u0 = if wv2 == 0.0 {
-                    c_pot[0] = 0.0;
-                    c_ex[0] = 0.0;
-                    c_ey[0] = 0.0;
-                    1
-                } else {
-                    0
-                };
-                for ((((p, ex), ey), &a), &wu) in c_pot[u0..]
-                    .iter_mut()
-                    .zip(c_ex[u0..].iter_mut())
-                    .zip(c_ey[u0..].iter_mut())
-                    .zip(&row[u0..])
-                    .zip(&wx[u0..])
-                {
-                    let s = a / (wu * wu + wv2);
-                    *p = s;
-                    *ex = s * wu;
-                    *ey = s * wv;
-                }
-                ctx.plan_x.cosine_synthesis(c_pot, d_pot)?;
-                ctx.plan_x.sine_synthesis(c_ex, d_ex)?;
-                ctx.plan_x.cosine_synthesis(c_ey, d_ey)
+            w * nx,
+            &mut self.re,
+            &mut self.im,
+            [&mut self.sbuf_pot, &mut self.sbuf_ey, &mut self.sbuf_ex],
+            |t, re, im, [pot, ey, s]| {
+                let wv = &wy[t * w..(t + 1) * w];
+                plan_x.load_coeffs(re, w, false, |u, c| s[c * nx + u]);
+                plan_x.synthesize(re, im, w);
+                plan_x.store_cosine(re, im, w, pot, |c| s[c * nx]);
+                plan_x.load_coeffs(re, w, false, |u, c| s[c * nx + u] * wv[c]);
+                plan_x.synthesize(re, im, w);
+                plan_x.store_cosine(re, im, w, ey, |c| s[c * nx] * wv[c]);
+                plan_x.load_coeffs(re, w, true, |u, c| s[c * nx + u] * wx[u]);
+                plan_x.synthesize(re, im, w);
+                plan_x.store_sine(re, im, w, s);
             },
-        )?;
-        let (sb_pot, sb_ex, sb_ey) = (&self.sbuf_pot, &self.sbuf_ex, &self.sbuf_ey);
-        par_rows3(
+        );
+        let w = TILE.min(nx);
+        let (pot, ex, ey) = (&self.sbuf_pot, &self.sbuf_ex, &self.sbuf_ey);
+        run_tiles(
             self.pool,
-            &mut self.ctxs,
             self.threads,
-            out.potential.as_mut_slice(),
-            out.field_x.as_mut_slice(),
-            out.field_y.as_mut_slice(),
-            ny,
-            nx,
-            |ctx, ix, d_pot, d_ex, d_ey| {
-                let (g_pot, g_ex, g_ey) = split3(&mut ctx.gather, ny);
-                for (v, ((gp, ge), gy)) in g_pot
-                    .iter_mut()
-                    .zip(g_ex.iter_mut())
-                    .zip(g_ey.iter_mut())
-                    .enumerate()
-                {
-                    *gp = sb_pot[v * nx + ix];
-                    *ge = sb_ex[v * nx + ix];
-                    *gy = sb_ey[v * nx + ix];
-                }
-                ctx.plan_y.cosine_synthesis(g_pot, d_pot)?;
-                ctx.plan_y.cosine_synthesis(g_ex, d_ex)?;
-                ctx.plan_y.sine_synthesis(g_ey, d_ey)
+            w * ny,
+            &mut self.re,
+            &mut self.im,
+            [
+                out.potential.as_mut_slice(),
+                out.field_x.as_mut_slice(),
+                out.field_y.as_mut_slice(),
+            ],
+            |t, re, im, [d_pot, d_ex, d_ey]| {
+                let ix0 = t * w;
+                plan_y.load_coeffs(re, w, false, |v, c| pot[v * nx + ix0 + c]);
+                plan_y.synthesize(re, im, w);
+                plan_y.store_cosine(re, im, w, d_pot, |c| pot[ix0 + c]);
+                plan_y.load_coeffs(re, w, false, |v, c| ex[v * nx + ix0 + c]);
+                plan_y.synthesize(re, im, w);
+                plan_y.store_cosine(re, im, w, d_ex, |c| ex[ix0 + c]);
+                plan_y.load_coeffs(re, w, true, |v, c| ey[v * nx + ix0 + c]);
+                plan_y.synthesize(re, im, w);
+                plan_y.store_sine(re, im, w, d_ey);
             },
-        )
+        );
     }
 }
 

@@ -29,17 +29,11 @@ const SQRT2: f64 = std::f64::consts::SQRT_2;
 /// direct serial accumulation path (no partial maps at all).
 pub const NODE_BLOCK: usize = 2048;
 
-/// Accumulates one node's (smoothed) footprint into a density map.
-///
-/// ePlace cell smoothing for movable cells and fillers: inflate to at
-/// least sqrt(2) x bin size, scale the charge so area is conserved. Fixed
-/// macros keep their footprint but contribute exactly the target density
-/// (DREAMPlace's convention) — otherwise every macro bin sits at density
-/// 1 > D_t and creates an irreducible overflow floor.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_node(
-    model: &PlacementModel,
-    i: usize,
+/// The per-pass constants of density accumulation.
+#[derive(Debug, Clone, Copy)]
+struct Binning {
+    /// Movable nodes `smooth_lo..smooth_hi` and fillers (`>= filler_start`)
+    /// are smoothed; every other node is a fixed footprint.
     smooth_lo: usize,
     smooth_hi: usize,
     filler_start: usize,
@@ -50,39 +44,99 @@ fn accumulate_node(
     inv_bin_area: f64,
     nx: usize,
     ny: usize,
-    map: &mut Grid2,
-) {
-    let (w, h) = (model.w[i], model.h[i]);
-    if w <= 0.0 || h <= 0.0 {
-        return; // terminals
-    }
-    let smoothed = (i >= smooth_lo && i < smooth_hi) || i >= filler_start;
-    let (we, he, scale) = if smoothed {
-        let we = w.max(SQRT2 * bin_w);
-        let he = h.max(SQRT2 * bin_h);
-        (we, he, (w * h) / (we * he))
-    } else {
-        (w, h, target)
-    };
-    let lx = model.x[i] - we * 0.5;
-    let ux = model.x[i] + we * 0.5;
-    let ly = model.y[i] - he * 0.5;
-    let uy = model.y[i] + he * 0.5;
-    let bx0 = (((lx - region.lx) / bin_w).floor().max(0.0)) as usize;
-    let bx1 = ((((ux - region.lx) / bin_w).ceil()) as usize).min(nx);
-    let by0 = (((ly - region.ly) / bin_h).floor().max(0.0)) as usize;
-    let by1 = ((((uy - region.ly) / bin_h).ceil()) as usize).min(ny);
-    for bx in bx0..bx1 {
-        let b_lx = region.lx + bx as f64 * bin_w;
-        let ox = (ux.min(b_lx + bin_w) - lx.max(b_lx)).max(0.0);
-        if ox == 0.0 {
-            continue;
+}
+
+impl Binning {
+    fn new(model: &PlacementModel, nx: usize, ny: usize) -> Self {
+        let ranges = model.ranges();
+        let (bin_w, bin_h) = (model.bin_w(), model.bin_h());
+        Binning {
+            smooth_lo: ranges.movable.start,
+            smooth_hi: ranges.movable.end,
+            filler_start: ranges.filler.start,
+            target: model.target_density(),
+            region: model.region(),
+            bin_w,
+            bin_h,
+            inv_bin_area: 1.0 / (bin_w * bin_h),
+            nx,
+            ny,
         }
-        for by in by0..by1 {
-            let b_ly = region.ly + by as f64 * bin_h;
-            let oy = (uy.min(b_ly + bin_h) - ly.max(b_ly)).max(0.0);
-            if oy > 0.0 {
-                map[(bx, by)] += ox * oy * scale * inv_bin_area;
+    }
+
+    /// Node `i`'s charge rectangle `(lx, ux, ly, uy)` and its charge scale.
+    ///
+    /// ePlace cell smoothing for movable cells and fillers: inflate to at
+    /// least sqrt(2) x bin size, scale the charge so area is conserved.
+    /// Fixed macros keep their footprint but contribute exactly the target
+    /// density (DREAMPlace's convention) — otherwise every macro bin sits at
+    /// density 1 > D_t and creates an irreducible overflow floor.
+    #[inline]
+    fn footprint(&self, model: &PlacementModel, i: usize) -> (f64, f64, f64, f64, f64) {
+        let (w, h) = (model.w[i], model.h[i]);
+        let smoothed = (i >= self.smooth_lo && i < self.smooth_hi) || i >= self.filler_start;
+        let (we, he, scale) = if smoothed {
+            let we = w.max(SQRT2 * self.bin_w);
+            let he = h.max(SQRT2 * self.bin_h);
+            (we, he, (w * h) / (we * he))
+        } else {
+            (w, h, self.target)
+        };
+        let lx = model.x[i] - we * 0.5;
+        let ux = model.x[i] + we * 0.5;
+        let ly = model.y[i] - he * 0.5;
+        let uy = model.y[i] + he * 0.5;
+        (lx, ux, ly, uy, scale)
+    }
+
+    /// The bin ranges `(bx0..bx1, by0..by1)` a rectangle may touch.
+    #[inline]
+    fn bins(&self, lx: f64, ux: f64, ly: f64, uy: f64) -> (usize, usize, usize, usize) {
+        let r = self.region;
+        let bx0 = (((lx - r.lx) / self.bin_w).floor().max(0.0)) as usize;
+        let bx1 = ((((ux - r.lx) / self.bin_w).ceil()) as usize).min(self.nx);
+        let by0 = (((ly - r.ly) / self.bin_h).floor().max(0.0)) as usize;
+        let by1 = ((((uy - r.ly) / self.bin_h).ceil()) as usize).min(self.ny);
+        (bx0, bx1, by0, by1)
+    }
+
+    /// Accumulates node `i`'s (smoothed) footprint into `map`.
+    ///
+    /// The node's y-overlaps depend only on the bin row, so they are
+    /// computed once into `oy` and every x-bin adds through a slice of its
+    /// map row. Each bin still receives `ox * oy * scale * inv_bin_area`,
+    /// evaluated in that order, so the map is bit-identical to evaluating
+    /// both overlaps per bin.
+    fn accumulate_node(
+        &self,
+        model: &PlacementModel,
+        i: usize,
+        oy: &mut Vec<f64>,
+        map: &mut Grid2,
+    ) {
+        if model.w[i] <= 0.0 || model.h[i] <= 0.0 {
+            return; // terminals
+        }
+        let (lx, ux, ly, uy, scale) = self.footprint(model, i);
+        let (bx0, bx1, by0, by1) = self.bins(lx, ux, ly, uy);
+        if bx0 >= bx1 || by0 >= by1 {
+            return;
+        }
+        oy.clear();
+        oy.extend((by0..by1).map(|by| {
+            let b_ly = self.region.ly + by as f64 * self.bin_h;
+            (uy.min(b_ly + self.bin_h) - ly.max(b_ly)).max(0.0)
+        }));
+        for bx in bx0..bx1 {
+            let b_lx = self.region.lx + bx as f64 * self.bin_w;
+            let ox = (ux.min(b_lx + self.bin_w) - lx.max(b_lx)).max(0.0);
+            if ox == 0.0 {
+                continue;
+            }
+            for (bin, &oy) in map.row_mut(bx)[by0..by1].iter_mut().zip(oy.iter()) {
+                if oy > 0.0 {
+                    *bin += ox * oy * scale * self.inv_bin_area;
+                }
             }
         }
     }
@@ -113,6 +167,12 @@ pub struct DensityOp {
     /// Node-block size of the blocked decomposition (normally
     /// [`NODE_BLOCK`]; overridable for tests/benches).
     node_block: usize,
+    /// Reused scratch of the blocked path: one partial map and y-overlap
+    /// buffer per node block. Slot `b` is zero-filled before block `b`
+    /// accumulates, so reuse is bit-identical to fresh maps.
+    blocks: Vec<(Grid2, Vec<f64>)>,
+    /// The serial path's y-overlap buffer.
+    oy: Vec<f64>,
 }
 
 /// Which node classes an accumulation pass covers.
@@ -143,6 +203,8 @@ impl DensityOp {
             threads: 1,
             pool: xplace_parallel::global(),
             node_block: NODE_BLOCK,
+            blocks: Vec::new(),
+            oy: Vec::new(),
         })
     }
 
@@ -226,12 +288,8 @@ impl DensityOp {
             Subset::All => &mut self.total_map,
         };
         map.fill_zero();
-        let region = model.region();
-        let bin_w = model.bin_w();
-        let bin_h = model.bin_h();
-        let inv_bin_area = 1.0 / (bin_w * bin_h);
+        let binning = Binning::new(model, self.nx, self.ny);
         let ranges = model.ranges();
-        let (smooth_lo, smooth_hi) = (ranges.movable.start, ranges.movable.end);
         let node_range: Vec<std::ops::Range<usize>> = match subset {
             Subset::MovableAndFixed => vec![ranges.movable.clone(), ranges.fixed.clone()],
             Subset::Fillers => vec![ranges.filler.clone()],
@@ -243,18 +301,15 @@ impl DensityOp {
                 ]
             }
         };
-        let filler_start = ranges.filler.start;
-        let nx = self.nx;
-        let ny = self.ny;
-        let target = model.target_density();
         let node_block = self.node_block;
         if node_range.iter().any(|r| r.len() > node_block) {
             // Blocked: chop every range into fixed node_block-sized blocks
             // (empty ranges contribute none, so no worker ever runs over an
             // empty slice or merges an all-zero map), accumulate each block
-            // into a private map on the pool, and merge in block order. The
-            // block grid is independent of `threads`, so the summation
-            // order — and the result — is bit-identical for any width.
+            // into its own partial map on the pool, and merge in block
+            // order. The block grid is independent of `threads`, so the
+            // summation order — and the result — is bit-identical for any
+            // width.
             let blocks: Vec<std::ops::Range<usize>> = node_range
                 .iter()
                 .flat_map(|r| {
@@ -264,50 +319,26 @@ impl DensityOp {
                         .map(move |lo| lo..(lo + node_block).min(end))
                 })
                 .collect();
-            let blocks = &blocks;
-            let partials = self.pool.run(blocks.len(), self.threads, |b| {
-                let mut local = Grid2::new(nx, ny);
+            let (nx, ny) = (self.nx, self.ny);
+            if self.blocks.len() < blocks.len() {
+                self.blocks
+                    .resize_with(blocks.len(), || (Grid2::new(nx, ny), Vec::new()));
+            }
+            let partials = &mut self.blocks[..blocks.len()];
+            self.pool.run_mut(partials, self.threads, |b, (local, oy)| {
+                local.fill_zero();
                 for i in blocks[b].clone() {
-                    accumulate_node(
-                        model,
-                        i,
-                        smooth_lo,
-                        smooth_hi,
-                        filler_start,
-                        target,
-                        region,
-                        bin_w,
-                        bin_h,
-                        inv_bin_area,
-                        nx,
-                        ny,
-                        &mut local,
-                    );
+                    binning.accumulate_node(model, i, oy, local);
                 }
-                local
             });
-            for p in &partials {
+            for (p, _) in partials.iter() {
                 map.add_assign_grid(p);
             }
             return;
         }
         for range in node_range {
             for i in range {
-                accumulate_node(
-                    model,
-                    i,
-                    smooth_lo,
-                    smooth_hi,
-                    filler_start,
-                    target,
-                    region,
-                    bin_w,
-                    bin_h,
-                    inv_bin_area,
-                    nx,
-                    ny,
-                    map,
-                );
+                binning.accumulate_node(model, i, &mut self.oy, map);
             }
         }
     }
@@ -538,11 +569,142 @@ impl DensityOp {
     }
 }
 
+/// The per-bin accumulation the hoisted loop replaced: both overlaps are
+/// evaluated for every bin. Kept as the bit-exact oracle of
+/// [`Binning::accumulate_node`].
+#[cfg(test)]
+mod per_bin {
+    use super::{Binning, Grid2, PlacementModel};
+
+    fn accumulate_node(b: &Binning, model: &PlacementModel, i: usize, map: &mut Grid2) {
+        if model.w[i] <= 0.0 || model.h[i] <= 0.0 {
+            return;
+        }
+        let (lx, ux, ly, uy, scale) = b.footprint(model, i);
+        let (bx0, bx1, by0, by1) = b.bins(lx, ux, ly, uy);
+        for bx in bx0..bx1 {
+            let b_lx = b.region.lx + bx as f64 * b.bin_w;
+            let ox = (ux.min(b_lx + b.bin_w) - lx.max(b_lx)).max(0.0);
+            if ox == 0.0 {
+                continue;
+            }
+            for by in by0..by1 {
+                let b_ly = b.region.ly + by as f64 * b.bin_h;
+                let oy = (uy.min(b_ly + b.bin_h) - ly.max(b_ly)).max(0.0);
+                if oy > 0.0 {
+                    map[(bx, by)] += ox * oy * scale * b.inv_bin_area;
+                }
+            }
+        }
+    }
+
+    /// The map of `ranges` as the old kernel built it: serially when every
+    /// range fits one block, else one fresh partial map per `node_block`
+    /// nodes, merged in block order.
+    pub(super) fn map(
+        model: &PlacementModel,
+        ranges: &[std::ops::Range<usize>],
+        node_block: usize,
+    ) -> Grid2 {
+        let (nx, ny) = model.grid_dims();
+        let b = Binning::new(model, nx, ny);
+        let mut map = Grid2::new(nx, ny);
+        if ranges.iter().all(|r| r.len() <= node_block) {
+            for i in ranges.iter().flat_map(|r| r.clone()) {
+                accumulate_node(&b, model, i, &mut map);
+            }
+            return map;
+        }
+        for r in ranges {
+            for lo in r.clone().step_by(node_block) {
+                let mut local = Grid2::new(nx, ny);
+                for i in lo..(lo + node_block).min(r.end) {
+                    accumulate_node(&b, model, i, &mut local);
+                }
+                map.add_assign_grid(&local);
+            }
+        }
+        map
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
     use xplace_device::DeviceConfig;
+    use xplace_testkit::prop::{self, Config, Strategy};
+    use xplace_testkit::rng::Rng;
+    use xplace_testkit::{prop_assert, props};
+
+    /// A design with macros, its movable cells and fillers scattered with
+    /// a quarter of them straddling or beyond the region edge, and a node
+    /// block from tiny to the production size.
+    fn oracle_case() -> impl Strategy<Value = (PlacementModel, usize)> {
+        prop::from_fn(|rng: &mut Rng| {
+            let cells = rng.gen_range(60usize..300);
+            let spec = SynthesisSpec::new("oracle", cells, cells + 10)
+                .with_seed(rng.gen_range(0u64..10_000))
+                .with_macro_count(rng.gen_range(1usize..4));
+            let mut m = PlacementModel::from_design(&synthesize(&spec).unwrap()).unwrap();
+            let r = m.region();
+            let ranges = m.ranges();
+            for i in ranges.movable.chain(ranges.filler) {
+                let (fx, fy) = if rng.gen_range(0u32..4) == 0 {
+                    // On an edge, sometimes a little past it.
+                    let t = [-0.01, 0.0, 1.0, 1.01][rng.gen_range(0usize..4)];
+                    (t, rng.gen_range(0.0..1.0))
+                } else {
+                    (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0))
+                };
+                let (fx, fy) = if rng.gen_range(0u32..2) == 0 {
+                    (fx, fy)
+                } else {
+                    (fy, fx)
+                };
+                m.x[i] = r.lx + fx * r.width();
+                m.y[i] = r.ly + fy * r.height();
+            }
+            let node_block = [1, 5, 64, NODE_BLOCK][rng.gen_range(0usize..4)];
+            (m, node_block)
+        })
+    }
+
+    fn same_bits(a: &Grid2, b: &Grid2) -> bool {
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    props! {
+        config = Config::with_cases(30);
+
+        /// The hoisted accumulation equals the per-bin loop bit for bit on
+        /// every map, serial and blocked, at widths 1 and 2.
+        fn hoisted_accumulation_matches_per_bin_loop_bitwise(case in oracle_case()) {
+            let (model, node_block) = case;
+            let device = Device::new(DeviceConfig::instant());
+            let r = model.ranges();
+            let want_movable = per_bin::map(&model, &[r.movable.clone(), r.fixed.clone()], node_block);
+            let want_fillers = per_bin::map(&model, std::slice::from_ref(&r.filler), node_block);
+            let want_all = per_bin::map(&model, &[r.movable, r.fixed, r.filler], node_block);
+            for threads in [1, 2] {
+                let mut op = DensityOp::new(&model).unwrap();
+                op.set_node_block(node_block);
+                op.set_threads(threads);
+                op.accumulate_movable(&device, &model);
+                op.accumulate_fillers(&device, &model);
+                op.accumulate_all(&device, &model);
+                prop_assert!(same_bits(&op.movable_map, &want_movable),
+                    "movable map differs (block {node_block}, width {threads})");
+                prop_assert!(same_bits(&op.filler_map, &want_fillers),
+                    "filler map differs (block {node_block}, width {threads})");
+                prop_assert!(same_bits(&op.total_map, &want_all),
+                    "total map differs (block {node_block}, width {threads})");
+            }
+        }
+    }
 
     fn setup() -> (PlacementModel, DensityOp, Device) {
         let design = synthesize(

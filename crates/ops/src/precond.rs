@@ -43,19 +43,42 @@ pub fn apply(
 
 /// The precondition weighted ratio ω over movable cells (Eq. in §3.2).
 ///
-/// Returns a value in `[0, 1]`; 0 when `lambda = 0`.
+/// Returns a value in `[0, 1]`; 0 when `lambda = 0`. A loop that evaluates
+/// ω every iteration should build [`OmegaSums`] once instead: the sums do
+/// not change while the cells move.
 pub fn omega(model: &PlacementModel, lambda: f64) -> f64 {
-    let mut hw = 0.0;
-    let mut hd = 0.0;
-    for i in 0..model.num_movable() {
-        hw += model.node_degree[i] as f64;
-        hd += model.node_area(i);
+    OmegaSums::new(model).omega(lambda)
+}
+
+/// The diagonal sums `|H_W|` and `|H_D|` over movable cells, which depend
+/// only on net degrees and cell areas, so ω can be evaluated for any λ
+/// without another pass over the cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OmegaSums {
+    hw: f64,
+    hd: f64,
+}
+
+impl OmegaSums {
+    /// Sums the degree and area diagonals over the model's movable cells.
+    pub fn new(model: &PlacementModel) -> Self {
+        let mut hw = 0.0;
+        let mut hd = 0.0;
+        for i in 0..model.num_movable() {
+            hw += model.node_degree[i] as f64;
+            hd += model.node_area(i);
+        }
+        OmegaSums { hw, hd }
     }
-    let weighted = lambda * hd;
-    if hw + weighted == 0.0 {
-        0.0
-    } else {
-        weighted / (hw + weighted)
+
+    /// ω at `lambda`; bit-identical to [`omega`] on the same model.
+    pub fn omega(&self, lambda: f64) -> f64 {
+        let weighted = lambda * self.hd;
+        if self.hw + weighted == 0.0 {
+            0.0
+        } else {
+            weighted / (self.hw + weighted)
+        }
     }
 }
 

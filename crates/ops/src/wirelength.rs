@@ -18,18 +18,60 @@ use crate::PlacementModel;
 use xplace_device::{Device, KernelInfo};
 use xplace_parallel::WorkerPool;
 
-/// Reusable per-block scratch for [`wa_fused_blocked`].
+/// Per-pin scratch of one net: each pin's coordinates and its two WA
+/// exponentials per axis, written by the sum pass and read back by the
+/// gradient pass so no exponential is evaluated twice.
+#[derive(Debug, Clone, Default)]
+struct PinCache {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    ax_pos: Vec<f64>,
+    ax_neg: Vec<f64>,
+    ay_pos: Vec<f64>,
+    ay_neg: Vec<f64>,
+}
+
+impl PinCache {
+    /// Grows every buffer to hold at least `degree` pins.
+    fn reserve(&mut self, degree: usize) {
+        if self.x.len() < degree {
+            for buf in [
+                &mut self.x,
+                &mut self.y,
+                &mut self.ax_pos,
+                &mut self.ax_neg,
+                &mut self.ay_pos,
+                &mut self.ay_neg,
+            ] {
+                buf.resize(degree, 0.0);
+            }
+        }
+    }
+}
+
+/// One net block's scratch: its `(grad_x, grad_y)` accumulators and its
+/// pin cache.
+#[derive(Debug, Clone, Default)]
+struct BlockSlot {
+    grad_x: Vec<f64>,
+    grad_y: Vec<f64>,
+    pins: PinCache,
+}
+
+/// Reusable per-block scratch for the fused wirelength kernel.
 ///
 /// The blocked kernel needs two `num_movable`-long gradient accumulators per
-/// net block. Allocating them fresh on every call puts two `Vec` allocations
-/// per block on the hottest path of every GP iteration; a workspace hoists
-/// them into slots that persist across calls (task `b` always uses slot `b`,
-/// zero-filled before each pass, so reuse is bitwise-identical to fresh
-/// buffers).
+/// net block, and every pass needs a pin cache as long as the largest net.
+/// Allocating them fresh on every call puts allocations on the hottest path
+/// of every GP iteration; a workspace hoists them into slots that persist
+/// across calls (task `b` always uses slot `b`, its accumulators zero-filled
+/// before each pass and its pin cache fully rewritten per net, so reuse is
+/// bitwise-identical to fresh buffers). The single-block path uses slot 0's
+/// pin cache.
 #[derive(Debug, Clone, Default)]
 pub struct WaWorkspace {
-    /// One `(grad_x, grad_y)` accumulator pair per net block, grown on demand.
-    slots: Vec<(Vec<f64>, Vec<f64>)>,
+    /// One slot per net block, grown on demand.
+    slots: Vec<BlockSlot>,
 }
 
 impl WaWorkspace {
@@ -38,14 +80,17 @@ impl WaWorkspace {
         Self::default()
     }
 
-    /// Ensures at least `blocks` slots of length `nm` each.
+    /// Ensures at least `blocks` slots, with accumulators of length `nm`
+    /// when the kernel is blocked.
     fn prepare(&mut self, blocks: usize, nm: usize) {
         if self.slots.len() < blocks {
             self.slots.resize_with(blocks, Default::default);
         }
-        for (gx, gy) in &mut self.slots[..blocks] {
-            gx.resize(nm, 0.0);
-            gy.resize(nm, 0.0);
+        if blocks > 1 {
+            for slot in &mut self.slots[..blocks] {
+                slot.grad_x.resize(nm, 0.0);
+                slot.grad_y.resize(nm, 0.0);
+            }
         }
     }
 }
@@ -102,97 +147,128 @@ pub fn hpwl(device: &Device, model: &PlacementModel) -> f64 {
     })
 }
 
-/// Per-net WA accumulation for one coordinate; returns the net's WA value
-/// and writes per-pin gradient contributions through `grad`.
-#[allow(clippy::too_many_arguments)]
+/// WA value and gradient of net `e` over pins `s..t` (Eq. 6, stable form:
+/// exponents shifted by the net extrema).
+///
+/// One pass reads each pin's position into the cache and finds the
+/// extrema (HPWL); a second evaluates the two exponentials per axis, caches
+/// them and accumulates the sums; the gradient pass reuses the cached
+/// values. Every quantity goes through the same IEEE operations in the
+/// same order as the textbook two-pass formula that recomputes the
+/// exponentials, so the result is bit-identical to it. `grad(p, dx, dy)`
+/// receives each pin's weighted-average derivatives in pin order.
+/// Returns `(hpwl, wa)`, both unweighted.
 #[inline]
-fn wa_net_coord(
-    _model: &PlacementModel,
+fn wa_net(
+    model: &PlacementModel,
     s: usize,
     t: usize,
-    gamma: f64,
-    min_v: f64,
-    max_v: f64,
-    coord: impl Fn(usize) -> f64,
-    mut grad: impl FnMut(usize, f64),
-) -> f64 {
-    // Stable WA (Eq. 6): exponents shifted by the net extrema.
-    let inv_gamma = 1.0 / gamma;
-    let (mut s_pos, mut su_pos, mut s_neg, mut su_neg) = (0.0, 0.0, 0.0, 0.0);
-    for p in s..t {
-        let v = coord(p);
-        let a_pos = ((v - max_v) * inv_gamma).exp();
-        let a_neg = ((min_v - v) * inv_gamma).exp();
-        s_pos += a_pos;
-        su_pos += v * a_pos;
-        s_neg += a_neg;
-        su_neg += v * a_neg;
+    inv_gamma: f64,
+    cache: &mut PinCache,
+    mut grad: impl FnMut(usize, f64, f64),
+) -> (f64, f64) {
+    let deg = t - s;
+    cache.reserve(deg);
+    let PinCache {
+        x,
+        y,
+        ax_pos,
+        ax_neg,
+        ay_pos,
+        ay_neg,
+    } = cache;
+    let (x, y) = (&mut x[..deg], &mut y[..deg]);
+    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+    for ((px, py), p) in x.iter_mut().zip(y.iter_mut()).zip(s..t) {
+        (*px, *py) = pin_pos(model, p);
+        min_x = min_x.min(*px);
+        max_x = max_x.max(*px);
+        min_y = min_y.min(*py);
+        max_y = max_y.max(*py);
     }
-    let wl_pos = su_pos / s_pos;
-    let wl_neg = su_neg / s_neg;
-    for p in s..t {
-        let v = coord(p);
-        let a_pos = ((v - max_v) * inv_gamma).exp();
-        let a_neg = ((min_v - v) * inv_gamma).exp();
-        let d_pos = a_pos / s_pos * (1.0 + (v - wl_pos) * inv_gamma);
-        let d_neg = a_neg / s_neg * (1.0 - (v - wl_neg) * inv_gamma);
-        grad(p, d_pos - d_neg);
+    let (mut sx_pos, mut sux_pos, mut sx_neg, mut sux_neg) = (0.0, 0.0, 0.0, 0.0);
+    let (mut sy_pos, mut suy_pos, mut sy_neg, mut suy_neg) = (0.0, 0.0, 0.0, 0.0);
+    for k in 0..deg {
+        let (vx, vy) = (x[k], y[k]);
+        let a_pos = ((vx - max_x) * inv_gamma).exp();
+        let a_neg = ((min_x - vx) * inv_gamma).exp();
+        (ax_pos[k], ax_neg[k]) = (a_pos, a_neg);
+        sx_pos += a_pos;
+        sux_pos += vx * a_pos;
+        sx_neg += a_neg;
+        sux_neg += vx * a_neg;
+        let a_pos = ((vy - max_y) * inv_gamma).exp();
+        let a_neg = ((min_y - vy) * inv_gamma).exp();
+        (ay_pos[k], ay_neg[k]) = (a_pos, a_neg);
+        sy_pos += a_pos;
+        suy_pos += vy * a_pos;
+        sy_neg += a_neg;
+        suy_neg += vy * a_neg;
     }
-    wl_pos - wl_neg
+    let (wlx_pos, wlx_neg) = (sux_pos / sx_pos, sux_neg / sx_neg);
+    let (wly_pos, wly_neg) = (suy_pos / sy_pos, suy_neg / sy_neg);
+    for (k, p) in (s..t).enumerate() {
+        let (vx, vy) = (x[k], y[k]);
+        let d_pos = ax_pos[k] / sx_pos * (1.0 + (vx - wlx_pos) * inv_gamma);
+        let d_neg = ax_neg[k] / sx_neg * (1.0 - (vx - wlx_neg) * inv_gamma);
+        let dx = d_pos - d_neg;
+        let d_pos = ay_pos[k] / sy_pos * (1.0 + (vy - wly_pos) * inv_gamma);
+        let d_neg = ay_neg[k] / sy_neg * (1.0 - (vy - wly_neg) * inv_gamma);
+        grad(p, dx, d_pos - d_neg);
+    }
+    let hpwl = (max_x - min_x) + (max_y - min_y);
+    let wa = (wlx_pos - wlx_neg) + (wly_pos - wly_neg);
+    (hpwl, wa)
 }
 
+/// Serial WA pass over the net range `nets`, accumulating weighted
+/// gradients into `grad` when given.
 fn wa_pass(
     model: &PlacementModel,
     gamma: f64,
-    mut grad_sink: Option<(&mut [f64], &mut [f64])>,
+    nets: std::ops::Range<usize>,
+    cache: &mut PinCache,
+    mut grad: Option<(&mut [f64], &mut [f64])>,
 ) -> FusedWirelength {
     let nm = model.num_movable();
+    let inv_gamma = 1.0 / gamma;
     let mut out = FusedWirelength::default();
-    for e in 0..model.num_nets() {
+    for e in nets {
         let (s, t) = net_range(model, e);
         if t - s < 2 {
             continue;
         }
         let weight = model.net_weight[e];
-        let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
-        out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
-        let wx = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_x,
-            max_x,
-            |p| pin_pos(model, p).0,
-            |p, d| {
-                if let Some((gx, _)) = grad_sink.as_mut() {
-                    let n = model.pin_node[p] as usize;
-                    if n < nm {
-                        gx[n] += weight * d;
-                    }
+        let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
+            if let Some((gx, gy)) = grad.as_mut() {
+                let n = model.pin_node[p] as usize;
+                if n < nm {
+                    gx[n] += weight * dx;
+                    gy[n] += weight * dy;
                 }
-            },
-        );
-        let wy = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_y,
-            max_y,
-            |p| pin_pos(model, p).1,
-            |p, d| {
-                if let Some((_, gy)) = grad_sink.as_mut() {
-                    let n = model.pin_node[p] as usize;
-                    if n < nm {
-                        gy[n] += weight * d;
-                    }
-                }
-            },
-        );
-        out.wa += weight * (wx + wy);
+            }
+        });
+        out.hpwl += weight * hpwl;
+        out.wa += weight * wa;
     }
     out
+}
+
+/// [`wa_pass`] over every net with a fresh pin cache, for the kernels that
+/// own no workspace.
+fn wa_pass_all(
+    model: &PlacementModel,
+    gamma: f64,
+    grad: Option<(&mut [f64], &mut [f64])>,
+) -> FusedWirelength {
+    wa_pass(
+        model,
+        gamma,
+        0..model.num_nets(),
+        &mut PinCache::default(),
+        grad,
+    )
 }
 
 /// The merged WA-objective-and-gradient kernel (DREAMPlace's granularity):
@@ -214,7 +290,9 @@ pub fn wa_with_grad(
     let kernel = KernelInfo::new("wa_with_grad")
         .bytes(model.num_pins() as u64 * 56)
         .flops(model.num_pins() as u64 * 60);
-    device.launch(kernel, || wa_pass(model, gamma, Some((grad_x, grad_y))).wa)
+    device.launch(kernel, || {
+        wa_pass_all(model, gamma, Some((grad_x, grad_y))).wa
+    })
 }
 
 /// Xplace's combined kernel (§3.1.1): WA wirelength, WA gradient and HPWL
@@ -231,10 +309,16 @@ pub fn wa_fused(
     grad_y: &mut [f64],
 ) -> FusedWirelength {
     assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    let kernel = KernelInfo::new("wa_fused")
+    device.launch(fused_kernel(model), || {
+        wa_pass_all(model, gamma, Some((grad_x, grad_y)))
+    })
+}
+
+/// The descriptor of the fused kernel, for every decomposition of it.
+fn fused_kernel(model: &PlacementModel) -> KernelInfo {
+    KernelInfo::new("wa_fused")
         .bytes(model.num_pins() as u64 * 56)
-        .flops(model.num_pins() as u64 * 68);
-    device.launch(kernel, || wa_pass(model, gamma, Some((grad_x, grad_y))))
+        .flops(model.num_pins() as u64 * 68)
 }
 
 /// Fixed net-block size for the blocked parallel wirelength decomposition.
@@ -342,92 +426,38 @@ pub fn wa_fused_blocked_ws(
     ws: &mut WaWorkspace,
 ) -> FusedWirelength {
     assert!(net_block > 0, "net_block must be nonzero");
+    assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
     let num_nets = model.num_nets();
     let blocks = num_nets.div_ceil(net_block).max(1);
+    let nm = model.num_movable();
+    ws.prepare(blocks, nm);
     if blocks == 1 {
-        return wa_fused(device, model, gamma, grad_x, grad_y);
+        let pins = &mut ws.slots[0].pins;
+        return device.launch(fused_kernel(model), || {
+            wa_pass(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
+        });
     }
-    assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    let kernel = KernelInfo::new("wa_fused")
-        .bytes(model.num_pins() as u64 * 56)
-        .flops(model.num_pins() as u64 * 68);
-    device.launch(kernel, || {
-        let nm = model.num_movable();
-        ws.prepare(blocks, nm);
+    device.launch(fused_kernel(model), || {
         let partials = pool.run_mut(&mut ws.slots[..blocks], threads.max(1), |b, slot| {
             let lo = b * net_block;
             let hi = (lo + net_block).min(num_nets);
-            let (gx, gy) = slot;
-            gx.fill(0.0);
-            gy.fill(0.0);
-            wa_pass_range(model, gamma, lo, hi, gx, gy)
+            slot.grad_x.fill(0.0);
+            slot.grad_y.fill(0.0);
+            let grad = Some((&mut slot.grad_x[..], &mut slot.grad_y[..]));
+            wa_pass(model, gamma, lo..hi, &mut slot.pins, grad)
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
-        for (out, (gx, gy)) in partials.iter().zip(&ws.slots[..blocks]) {
+        for (out, slot) in partials.iter().zip(&ws.slots[..blocks]) {
             total.wa += out.wa;
             total.hpwl += out.hpwl;
             for i in 0..nm {
-                grad_x[i] += gx[i];
-                grad_y[i] += gy[i];
+                grad_x[i] += slot.grad_x[i];
+                grad_y[i] += slot.grad_y[i];
             }
         }
         total
     })
-}
-
-/// Serial WA pass over the net range `[lo, hi)`, accumulating gradients.
-fn wa_pass_range(
-    model: &PlacementModel,
-    gamma: f64,
-    lo: usize,
-    hi: usize,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-) -> FusedWirelength {
-    let nm = model.num_movable();
-    let mut out = FusedWirelength::default();
-    for e in lo..hi {
-        let (s, t) = net_range(model, e);
-        if t - s < 2 {
-            continue;
-        }
-        let weight = model.net_weight[e];
-        let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
-        out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
-        let wx = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_x,
-            max_x,
-            |p| pin_pos(model, p).0,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad_x[n] += weight * d;
-                }
-            },
-        );
-        let wy = wa_net_coord(
-            model,
-            s,
-            t,
-            gamma,
-            min_y,
-            max_y,
-            |p| pin_pos(model, p).1,
-            |p, d| {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    grad_y[n] += weight * d;
-                }
-            },
-        );
-        out.wa += weight * (wx + wy);
-    }
-    out
 }
 
 /// Forward-only WA wirelength (autograd mode): one launch, no gradient.
@@ -436,7 +466,7 @@ pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
         .bytes(model.num_pins() as u64 * 40)
         .flops(model.num_pins() as u64 * 40)
         .out_of_place();
-    device.launch(kernel, || wa_pass(model, gamma, None).wa)
+    device.launch(kernel, || wa_pass_all(model, gamma, None).wa)
 }
 
 /// Device-free WA gradient accumulation, for use *inside* an already
@@ -448,7 +478,7 @@ pub fn wa_forward(device: &Device, model: &PlacementModel, gamma: f64) -> f64 {
 /// Panics if the gradient slices are shorter than the movable-node count.
 pub fn wa_grad_into(model: &PlacementModel, gamma: f64, grad_x: &mut [f64], grad_y: &mut [f64]) {
     assert!(grad_x.len() >= model.num_movable() && grad_y.len() >= model.num_movable());
-    wa_pass(model, gamma, Some((grad_x, grad_y)));
+    wa_pass_all(model, gamma, Some((grad_x, grad_y)));
 }
 
 /// Backward WA kernel (autograd mode): recomputes the exponent sums and
@@ -470,8 +500,137 @@ pub fn wa_backward(
         .flops(model.num_pins() as u64 * 60)
         .out_of_place();
     device.launch(kernel, || {
-        wa_pass(model, gamma, Some((grad_x, grad_y)));
+        wa_pass_all(model, gamma, Some((grad_x, grad_y)));
     });
+}
+
+/// The two-pass WA formula the cached kernel replaced: every exponential is
+/// evaluated again in the gradient pass. Kept as the bit-exact oracle of
+/// [`wa_net`].
+#[cfg(test)]
+mod two_pass {
+    use super::{bounds_of_net, net_range, pin_pos, FusedWirelength};
+    use crate::PlacementModel;
+
+    #[allow(clippy::too_many_arguments)]
+    fn wa_net_coord(
+        s: usize,
+        t: usize,
+        gamma: f64,
+        min_v: f64,
+        max_v: f64,
+        coord: impl Fn(usize) -> f64,
+        mut grad: impl FnMut(usize, f64),
+    ) -> f64 {
+        let inv_gamma = 1.0 / gamma;
+        let (mut s_pos, mut su_pos, mut s_neg, mut su_neg) = (0.0, 0.0, 0.0, 0.0);
+        for p in s..t {
+            let v = coord(p);
+            let a_pos = ((v - max_v) * inv_gamma).exp();
+            let a_neg = ((min_v - v) * inv_gamma).exp();
+            s_pos += a_pos;
+            su_pos += v * a_pos;
+            s_neg += a_neg;
+            su_neg += v * a_neg;
+        }
+        let wl_pos = su_pos / s_pos;
+        let wl_neg = su_neg / s_neg;
+        for p in s..t {
+            let v = coord(p);
+            let a_pos = ((v - max_v) * inv_gamma).exp();
+            let a_neg = ((min_v - v) * inv_gamma).exp();
+            let d_pos = a_pos / s_pos * (1.0 + (v - wl_pos) * inv_gamma);
+            let d_neg = a_neg / s_neg * (1.0 - (v - wl_neg) * inv_gamma);
+            grad(p, d_pos - d_neg);
+        }
+        wl_pos - wl_neg
+    }
+
+    /// The serial pass over nets `lo..hi` into the given accumulators.
+    pub(super) fn wa_pass_range(
+        model: &PlacementModel,
+        gamma: f64,
+        lo: usize,
+        hi: usize,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+    ) -> FusedWirelength {
+        let nm = model.num_movable();
+        let mut out = FusedWirelength::default();
+        for e in lo..hi {
+            let (s, t) = net_range(model, e);
+            if t - s < 2 {
+                continue;
+            }
+            let weight = model.net_weight[e];
+            let (min_x, max_x, min_y, max_y) = bounds_of_net(model, s, t);
+            out.hpwl += weight * ((max_x - min_x) + (max_y - min_y));
+            let wx = wa_net_coord(
+                s,
+                t,
+                gamma,
+                min_x,
+                max_x,
+                |p| pin_pos(model, p).0,
+                |p, d| {
+                    let n = model.pin_node[p] as usize;
+                    if n < nm {
+                        grad_x[n] += weight * d;
+                    }
+                },
+            );
+            let wy = wa_net_coord(
+                s,
+                t,
+                gamma,
+                min_y,
+                max_y,
+                |p| pin_pos(model, p).1,
+                |p, d| {
+                    let n = model.pin_node[p] as usize;
+                    if n < nm {
+                        grad_y[n] += weight * d;
+                    }
+                },
+            );
+            out.wa += weight * (wx + wy);
+        }
+        out
+    }
+
+    /// The blocked kernel's old composition: each `net_block` range into
+    /// zeroed accumulators, merged in block order.
+    pub(super) fn wa_blocked(
+        model: &PlacementModel,
+        gamma: f64,
+        net_block: usize,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+    ) -> FusedWirelength {
+        let (nets, nm) = (model.num_nets(), model.num_movable());
+        if nets <= net_block {
+            return wa_pass_range(model, gamma, 0, nets, grad_x, grad_y);
+        }
+        let mut total = FusedWirelength::default();
+        for lo in (0..nets).step_by(net_block) {
+            let (mut gx, mut gy) = (vec![0.0; nm], vec![0.0; nm]);
+            let out = wa_pass_range(
+                model,
+                gamma,
+                lo,
+                (lo + net_block).min(nets),
+                &mut gx,
+                &mut gy,
+            );
+            total.wa += out.wa;
+            total.hpwl += out.hpwl;
+            for i in 0..nm {
+                grad_x[i] += gx[i];
+                grad_y[i] += gy[i];
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -479,6 +638,78 @@ mod tests {
     use super::*;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
     use xplace_device::DeviceConfig;
+    use xplace_testkit::prop::{self, Config, Strategy};
+    use xplace_testkit::rng::Rng;
+    use xplace_testkit::{prop_assert, props};
+
+    /// A scattered model and a WA gamma from tiny to large. Half the cases
+    /// re-cut the pins into degree-2 nets (plus a trailing degree-1 net
+    /// when the pin count is odd); every third node sits on one shared
+    /// point with zero pin offsets, so many nets have coincident pins.
+    fn oracle_case() -> impl Strategy<Value = (PlacementModel, f64)> {
+        prop::from_fn(|rng: &mut Rng| {
+            let cells = rng.gen_range(20usize..120);
+            let seed = rng.gen_range(0u64..10_000);
+            let spec = SynthesisSpec::new("oracle", cells, cells + 15).with_seed(seed);
+            let mut m = PlacementModel::from_design(&synthesize(&spec).unwrap()).unwrap();
+            let r = m.region();
+            let c = r.center();
+            for i in 0..m.num_nodes() {
+                if i % 3 == 0 {
+                    (m.x[i], m.y[i]) = (c.x, c.y);
+                } else {
+                    m.x[i] = r.lx + rng.gen_range(0.0..1.0) * r.width();
+                    m.y[i] = r.ly + rng.gen_range(0.0..1.0) * r.height();
+                }
+            }
+            for p in 0..m.num_pins() {
+                if m.pin_node[p].is_multiple_of(3) {
+                    (m.pin_dx[p], m.pin_dy[p]) = (0.0, 0.0);
+                }
+            }
+            if rng.gen_range(0u32..2) == 0 {
+                let pins = m.num_pins() as u32;
+                m.net_start = (0..pins).step_by(2).chain([pins]).collect();
+                m.net_weight = (1..m.net_start.len())
+                    .map(|_| rng.gen_range(0.5..3.0))
+                    .collect();
+            }
+            let gamma = [1e-3, 1e-2, 0.5, 4.0, 80.0][rng.gen_range(0usize..5)];
+            (m, gamma)
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    props! {
+        config = Config::with_cases(40);
+
+        /// The cached kernel equals the two-pass formula bit for bit,
+        /// serial and blocked, for the sums and every gradient entry.
+        fn cached_wa_matches_two_pass_formula_bitwise(case in oracle_case()) {
+            let (model, gamma) = case;
+            let device = Device::new(DeviceConfig::instant());
+            let nm = model.num_movable();
+            for net_block in [usize::MAX, 7] {
+                let (mut gx0, mut gy0) = (vec![0.0; nm], vec![0.0; nm]);
+                let want = two_pass::wa_blocked(&model, gamma, net_block, &mut gx0, &mut gy0);
+                let (mut gx1, mut gy1) = (vec![0.0; nm], vec![0.0; nm]);
+                let got = if net_block == usize::MAX {
+                    wa_fused(&device, &model, gamma, &mut gx1, &mut gy1)
+                } else {
+                    wa_fused_blocked(&device, &model, gamma, &mut gx1, &mut gy1, 2, net_block)
+                };
+                prop_assert!(got.wa.to_bits() == want.wa.to_bits(),
+                    "wa {} vs {} (gamma {gamma}, block {net_block})", got.wa, want.wa);
+                prop_assert!(got.hpwl.to_bits() == want.hpwl.to_bits(),
+                    "hpwl {} vs {}", got.hpwl, want.hpwl);
+                prop_assert!(bits(&gx1) == bits(&gx0), "grad_x differs (gamma {gamma})");
+                prop_assert!(bits(&gy1) == bits(&gy0), "grad_y differs (gamma {gamma})");
+            }
+        }
+    }
 
     fn setup(cells: usize) -> (PlacementModel, Device) {
         let design =

@@ -35,6 +35,21 @@ cmp "$SMOKE/t1.jsonl" "$SMOKE/t4.jsonl" \
 ./target/release/telemetry_check trace "$SMOKE/t1.jsonl"
 ./target/release/telemetry_check report "$SMOKE/t1.json"
 
+echo "==> blocked-kernel parity: 5k-cell place, trace and placement across thread counts"
+# The 300-cell smoke design fits one 2,048-net / 2,048-node block; this one
+# splits the wirelength and density kernels into several blocks.
+./target/release/xplace synth ci-blocked 5000 --seed 3 --out "$SMOKE" >/dev/null
+for T in 1 2 4; do
+    ./target/release/xplace place "$SMOKE/ci-blocked.aux" --max-iters 60 --threads "$T" \
+        -o "$SMOKE/blocked-t$T.pl" --trace "$SMOKE/blocked-t$T.jsonl" >/dev/null
+done
+for T in 2 4; do
+    cmp "$SMOKE/blocked-t1.jsonl" "$SMOKE/blocked-t$T.jsonl" \
+        || { echo "FAIL: blocked-kernel traces differ at threads $T" >&2; exit 1; }
+    cmp "$SMOKE/blocked-t1.pl" "$SMOKE/blocked-t$T.pl" \
+        || { echo "FAIL: blocked-kernel placements differ at threads $T" >&2; exit 1; }
+done
+
 echo "==> batch smoke: 2-design batch, trace parity, batch gate, failure isolation"
 cat > "$SMOKE/suite.json" <<EOF
 {"jobs": [
