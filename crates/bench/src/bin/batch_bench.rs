@@ -15,7 +15,7 @@
 use std::time::Instant;
 use xplace_bench::{argv_parse, fmt, TextTable};
 use xplace_db::DesignCache;
-use xplace_sched::{run_batch, run_job, BatchManifest};
+use xplace_sched::{run_batch, run_job, BatchManifest, BatchSession};
 
 fn main() {
     let jobs: usize = argv_parse("--jobs", 4);
@@ -48,7 +48,7 @@ fn main() {
     let serial_s = serial_start.elapsed().as_secs_f64();
 
     let batch_start = Instant::now();
-    let batch = run_batch(&manifest, threads);
+    let batch = run_batch(&manifest, &BatchSession::new(threads, &DesignCache::new()));
     let batch_s = batch_start.elapsed().as_secs_f64();
 
     assert!(batch.report.all_completed(), "batch had failed jobs");

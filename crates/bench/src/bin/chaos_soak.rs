@@ -32,9 +32,15 @@
 
 use std::time::{Duration, Instant};
 use xplace_bench::argv_parse;
-use xplace_sched::{run_batch, BatchManifest};
+use xplace_db::DesignCache;
+use xplace_sched::{run_batch, BatchManifest, BatchOutcome, BatchSession};
 use xplace_serve::{Client, ServeConfig, Server};
 use xplace_telemetry::Json;
+
+/// A batch over a fresh, private design cache.
+fn fresh_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
+    run_batch(manifest, &BatchSession::new(threads, &DesignCache::new()))
+}
 
 /// A tiny deterministic PRNG (splitmix64) so the chaos schedule is a
 /// pure function of `--seed` — no external dependency, no wall clock.
@@ -150,8 +156,8 @@ fn kill_random_jobs(cfg: &ChaosConfig, chaos: &mut Chaos) {
     let clean = BatchManifest::parse(&format!(r#"{{"jobs": [{}]}}"#, entries.join(", "))).unwrap();
 
     for threads in [1usize, 4] {
-        let reference = run_batch(&clean, threads);
-        let recovered = run_batch(&chaotic, threads);
+        let reference = fresh_batch(&clean, threads);
+        let recovered = fresh_batch(&chaotic, threads);
 
         // Zero lost, zero duplicated: exactly the manifest's jobs, each
         // reported once, all completed.
@@ -327,7 +333,7 @@ fn drop_random_clients(cfg: &ChaosConfig, chaos: &mut Chaos) {
                                     "surviving batch c{c}b{b} had failures"
                                 );
                                 let reference =
-                                    run_batch(&BatchManifest::parse(&manifest).unwrap(), threads);
+                                    fresh_batch(&BatchManifest::parse(&manifest).unwrap(), threads);
                                 assert_eq!(
                                     batch.traces, reference.traces,
                                     "surviving batch c{c}b{b} diverged from an undisturbed run"

@@ -27,7 +27,7 @@
 //! `cargo run --release -p xplace-bench --bin run_report -- --out BENCH_baseline.json`
 
 use std::path::PathBuf;
-use xplace_bench::{argv_flag, argv_parse, report_from_flow, run_flow};
+use xplace_bench::{argv_flag, argv_parse, run_flow};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::SynthesisSpec;
@@ -55,11 +55,10 @@ fn main() {
         "running the canonical flow ({cells} cells, {nets} nets, seed {seed}, \
          {max_iters} iters)..."
     );
-    let flow = run_flow(&entry, config.clone(), None).unwrap_or_else(|e| {
+    let (_, mut report) = run_flow(&entry, config, None).unwrap_or_else(|e| {
         eprintln!("error: flow failed: {e}");
         std::process::exit(1)
     });
-    let mut report = report_from_flow(&config, &flow);
     if !std::env::args().any(|a| a == "--no-spectral") {
         let reps: usize = argv_parse("--spectral-reps", 3);
         eprintln!(

@@ -12,9 +12,7 @@
 //! Environment: `XPLACE_SCALE` (default 0.004), `XPLACE_MAX_ITERS`
 //! (default 1500).
 
-use xplace_bench::{
-    fmt, max_iters_from_env, report_from_flow, run_flow, scale_from_env, write_reports, TextTable,
-};
+use xplace_bench::{fmt, max_iters_from_env, run_flow, scale_from_env, write_reports, TextTable};
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2005_like;
 use xplace_nn::{train, DataConfig, Fno, FnoConfig, FnoGuidance, TrainConfig};
@@ -75,25 +73,21 @@ fn main() {
         cfg_xp.schedule.max_iterations = max_iters;
         let cfg_nn = cfg_xp.clone();
 
-        let base = run_flow(entry, cfg_base.clone(), None).expect("baseline flow");
-        let xp = run_flow(entry, cfg_xp.clone(), None).expect("xplace flow");
+        let (_, base) = run_flow(entry, cfg_base, None).expect("baseline flow");
+        let (_, xp) = run_flow(entry, cfg_xp, None).expect("xplace flow");
         let guidance = FnoGuidance::new(fno.clone());
-        let nn = run_flow(entry, cfg_nn.clone(), Some(Box::new(guidance))).expect("xplace-nn flow");
-        reports.push(report_from_flow(&cfg_base, &base));
-        reports.push(report_from_flow(&cfg_xp, &xp));
-        reports.push(report_from_flow(&cfg_nn, &nn));
+        let (_, nn) = run_flow(entry, cfg_nn, Some(Box::new(guidance))).expect("xplace-nn flow");
 
-        let cells = [
-            base.hpwl(),
-            base.gp_seconds(),
-            base.dp_seconds(),
-            xp.hpwl(),
-            xp.gp_seconds(),
-            xp.dp_seconds(),
-            nn.hpwl(),
-            nn.gp_seconds(),
-            nn.dp_seconds(),
-        ];
+        let cells: Vec<f64> = [&base, &xp, &nn]
+            .iter()
+            .flat_map(|r| {
+                [
+                    r.final_hpwl(),
+                    r.gp.modeled_seconds(),
+                    r.lg_dp_wall_seconds(),
+                ]
+            })
+            .collect();
         for (s, c) in sums.iter_mut().zip(&cells) {
             *s += c;
         }
@@ -106,6 +100,7 @@ fn main() {
             }
         }));
         table.row(row);
+        reports.extend([base, xp, nn]);
     }
 
     let mut sum_row = vec!["Sum".to_string()];

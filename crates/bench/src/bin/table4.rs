@@ -11,12 +11,11 @@
 //! (default 1500).
 
 use xplace_bench::{
-    default_workers, fmt, max_iters_from_env, parallel_map, report_from_flow, run_flow,
-    scale_from_env, write_reports, TextTable,
+    default_workers, fmt, max_iters_from_env, parallel_map, run_flow, scale_from_env,
+    write_reports, TextTable,
 };
 use xplace_core::XplaceConfig;
 use xplace_db::suites::ispd2015_like;
-use xplace_route::{estimate_congestion, RouteConfig};
 
 fn main() {
     let scale = scale_from_env(0.004);
@@ -47,43 +46,30 @@ fn main() {
         let mut cfg_xp = XplaceConfig::xplace();
         cfg_xp.schedule.max_iterations = max_iters;
 
-        let base = run_flow(entry, cfg_base.clone(), None).expect("baseline flow");
-        let xp = run_flow(entry, cfg_xp.clone(), None).expect("xplace flow");
-        let route_cfg = RouteConfig::default();
-        let base_ovfl = estimate_congestion(&base.design, &route_cfg).top_overflow(0.05);
-        let xp_ovfl = estimate_congestion(&xp.design, &route_cfg).top_overflow(0.05);
-        let reports = vec![
-            report_from_flow(&cfg_base, &base),
-            report_from_flow(&cfg_xp, &xp),
-        ];
-        (base, base_ovfl, xp, xp_ovfl, reports)
+        let (_, base) = run_flow(entry, cfg_base, None).expect("baseline flow");
+        let (_, xp) = run_flow(entry, cfg_xp, None).expect("xplace flow");
+        [base, xp]
     });
-
-    let mut reports = Vec::new();
-    let per_design: Vec<_> = per_design
-        .into_iter()
-        .map(|(base, base_ovfl, xp, xp_ovfl, rs)| {
-            reports.extend(rs);
-            (base, base_ovfl, xp, xp_ovfl)
-        })
-        .collect();
+    let reports: Vec<_> = per_design.into_iter().flatten().collect();
     let reports_path = std::path::Path::new("results/table4_reports.json");
     match write_reports(reports_path, &reports) {
         Ok(()) => eprintln!("machine-readable reports: {}", reports_path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", reports_path.display()),
     }
 
-    for (entry, (base, base_ovfl, xp, xp_ovfl)) in suite.iter().zip(per_design) {
-        let cells = [
-            base.hpwl(),
-            base_ovfl,
-            base.gp_seconds(),
-            base.dp_seconds(),
-            xp.hpwl(),
-            xp_ovfl,
-            xp.gp_seconds(),
-            xp.dp_seconds(),
-        ];
+    for (entry, pair) in suite.iter().zip(reports.chunks_exact(2)) {
+        let cells: Vec<f64> = pair
+            .iter()
+            .flat_map(|r| {
+                let top5 = r.route.as_ref().map_or(0.0, |route| route.top5_overflow);
+                [
+                    r.final_hpwl(),
+                    top5,
+                    r.gp.modeled_seconds(),
+                    r.lg_dp_wall_seconds(),
+                ]
+            })
+            .collect();
         for (s, c) in sums.iter_mut().zip(&cells) {
             *s += c;
         }

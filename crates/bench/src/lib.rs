@@ -2,7 +2,7 @@
 //!
 //! Every table of the paper's evaluation section has a binary in
 //! `src/bin` (see `DESIGN.md` for the experiment index). This library
-//! provides the common pieces: the full GP -> LG -> DP flow, suite
+//! provides the common pieces: the full flow on a suite entry, suite
 //! scaling via the `XPLACE_SCALE` environment variable, and plain-text
 //! table formatting.
 
@@ -12,47 +12,16 @@ pub mod explore;
 pub mod scaling;
 pub mod spectral;
 
-use xplace_core::{GlobalPlacer, PlacementReport, XplaceConfig};
+use xplace_core::{CheckpointOptions, GlobalPlacer, XplaceConfig};
 use xplace_db::suites::SuiteEntry;
 use xplace_db::synthesis::synthesize;
 use xplace_db::{DbError, Design};
-use xplace_legal::{check_legality, detailed_place, legalize, DpConfig, DpReport, LegalizeReport};
-use xplace_route::{estimate_congestion, RouteConfig};
-use xplace_telemetry::{DpMetrics, LgMetrics, RouteMetrics, RunReport, ToJson};
+use xplace_telemetry::{NullSink, RunReport, ToJson};
 
-/// Result of one complete placement flow on one design.
-#[derive(Debug)]
-pub struct FlowResult {
-    /// The placed, legalized design.
-    pub design: Design,
-    /// Global-placement report.
-    pub gp: PlacementReport,
-    /// Legalization report.
-    pub lg: LegalizeReport,
-    /// Detailed-placement report.
-    pub dp: DpReport,
-}
-
-impl FlowResult {
-    /// Final (post-DP) HPWL.
-    pub fn hpwl(&self) -> f64 {
-        self.dp.final_hpwl
-    }
-
-    /// Modeled GP seconds (the paper's GP/s column).
-    pub fn gp_seconds(&self) -> f64 {
-        self.gp.modeled_gp_seconds()
-    }
-
-    /// LG + DP wall-clock seconds (the paper's DP/s column).
-    pub fn dp_seconds(&self) -> f64 {
-        self.lg.wall_seconds + self.dp.wall_seconds
-    }
-}
-
-/// Runs the full flow (synthesize -> GP -> legalize -> DP -> legality
-/// check) for one suite entry under one placer configuration, optionally
-/// with a neural guidance.
+/// Runs the full flow for one suite entry under one placer
+/// configuration, optionally with a neural guidance: synthesize, then
+/// the pipeline of [`xplace_sched::run_flow`]. Returns the placed,
+/// legalized design and its report.
 ///
 /// # Errors
 ///
@@ -62,54 +31,19 @@ pub fn run_flow(
     entry: &SuiteEntry,
     config: XplaceConfig,
     guidance: Option<Box<dyn xplace_core::DensityGuidance>>,
-) -> Result<FlowResult, Box<dyn std::error::Error>> {
+) -> Result<(Design, RunReport), Box<dyn std::error::Error>> {
     let mut design = synthesize(&entry.spec)?;
     let mut placer = GlobalPlacer::new(config);
     if let Some(g) = guidance {
         placer = placer.with_guidance(g);
     }
-    let gp = placer.place(&mut design)?;
-    let lg = legalize(&mut design)?;
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    check_legality(&design)?;
-    Ok(FlowResult { design, gp, lg, dp })
-}
-
-/// Builds the machine-readable [`RunReport`] for one completed flow
-/// (routability estimated on the final placement with default settings).
-pub fn report_from_flow(config: &XplaceConfig, flow: &FlowResult) -> RunReport {
-    let congestion = estimate_congestion(&flow.design, &RouteConfig::default());
-    RunReport {
-        design: flow.design.name().to_string(),
-        cells: flow.design.netlist().num_cells(),
-        nets: flow.design.netlist().num_nets(),
-        config: config.echo(),
-        threads: config.threads,
-        gp: flow.gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: flow.lg.initial_hpwl,
-            final_hpwl: flow.lg.final_hpwl,
-            mean_displacement: flow.lg.mean_displacement,
-            max_displacement: flow.lg.max_displacement,
-            wall_seconds: flow.lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: flow.dp.initial_hpwl,
-            final_hpwl: flow.dp.final_hpwl,
-            slides: flow.dp.slides,
-            reorders: flow.dp.reorders,
-            swaps: flow.dp.swaps,
-            wall_seconds: flow.dp.wall_seconds,
-        }),
-        route: Some(RouteMetrics {
-            top5_overflow: congestion.top_overflow(0.05),
-            max_utilization: congestion.max_utilization(),
-        }),
-        spectral: None,
-        scaling: None,
-        explore: None,
-        trace_error: None,
-    }
+    let report = xplace_sched::run_flow(
+        &mut design,
+        placer,
+        &mut NullSink,
+        CheckpointOptions::none(),
+    )?;
+    Ok((design, report))
 }
 
 /// Writes a slice of [`RunReport`]s as one JSON array, creating parent
@@ -369,10 +303,12 @@ mod tests {
         entry.spec.num_nets = 320;
         let mut cfg = XplaceConfig::xplace();
         cfg.schedule.max_iterations = 150;
-        let flow = run_flow(&entry, cfg, None).unwrap();
-        assert!(flow.hpwl() > 0.0);
-        assert!(flow.gp_seconds() > 0.0);
-        assert!(flow.dp_seconds() >= 0.0);
-        assert!(flow.dp.final_hpwl <= flow.lg.final_hpwl + 1e-9);
+        let (design, report) = run_flow(&entry, cfg, None).unwrap();
+        assert!(report.final_hpwl() > 0.0);
+        assert!(report.gp.modeled_seconds() > 0.0);
+        assert!(report.lg_dp_wall_seconds() >= 0.0);
+        let (lg, dp) = (report.lg.unwrap(), report.dp.unwrap());
+        assert!(dp.final_hpwl <= lg.final_hpwl + 1e-9);
+        assert_eq!(report.cells, design.netlist().num_cells());
     }
 }

@@ -102,7 +102,6 @@ fn accumulate_profile(into: &mut ProfileSnapshot, other: ProfileSnapshot) {
 pub struct GlobalPlacer {
     config: XplaceConfig,
     guidance: Option<Box<dyn DensityGuidance>>,
-    pool: Option<&'static xplace_parallel::WorkerPool>,
 }
 
 impl GlobalPlacer {
@@ -111,18 +110,7 @@ impl GlobalPlacer {
         GlobalPlacer {
             config,
             guidance: None,
-            pool: None,
         }
-    }
-
-    /// Routes the heavy kernel bodies onto an injected worker pool instead
-    /// of the process-global one. Batch schedulers use this so concurrent
-    /// placements keep their launches on the scheduler's own pool; results
-    /// are bit-identical for any pool (the work decomposition is fixed by
-    /// the design).
-    pub fn with_pool(mut self, pool: &'static xplace_parallel::WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Installs a neural density guidance (the Xplace-NN extension of
@@ -148,34 +136,20 @@ impl GlobalPlacer {
     /// modeled, and [`PlaceError::Diverged`] if the optimization produces
     /// non-finite values.
     pub fn place(&mut self, design: &mut Design) -> Result<PlacementReport, PlaceError> {
-        self.place_traced(design, &mut NullSink)
+        self.place_traced_opts(design, &mut NullSink, CheckpointOptions::none())
     }
 
     /// Runs global placement like [`GlobalPlacer::place`], additionally
     /// emitting the telemetry event stream (run header/footer, one
     /// [`xplace_telemetry::IterationRecord`] per iteration with its
     /// modeled-device delta, ω-stage transitions, skip-window flips, λ
-    /// updates and rollbacks) into `sink`.
+    /// updates and rollbacks) into `sink`, under checkpoint/resume
+    /// control `ckpt` ([`CheckpointOptions::none`] for a plain run).
     ///
     /// Event construction is guarded by [`TelemetrySink::enabled`], so
     /// passing a [`NullSink`] costs nothing in the hot loop. Traces carry
     /// no wall-clock quantities: same-seed runs are byte-identical, for
     /// any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GlobalPlacer::place`], plus
-    /// [`PlaceError::Coarsening`] when multilevel clustering fails.
-    pub fn place_traced(
-        &mut self,
-        design: &mut Design,
-        sink: &mut dyn TelemetrySink,
-    ) -> Result<PlacementReport, PlaceError> {
-        self.place_traced_opts(design, sink, CheckpointOptions::none())
-    }
-
-    /// Runs global placement like [`GlobalPlacer::place_traced`] with
-    /// checkpoint/resume control.
     ///
     /// With `ckpt.every > 0` and a store, the full Nesterov loop state is
     /// snapshotted every `every` iterations ([`Checkpoint`]); saving emits
@@ -191,7 +165,8 @@ impl GlobalPlacer {
     ///
     /// # Errors
     ///
-    /// Same contract as [`GlobalPlacer::place_traced`], plus
+    /// Same contract as [`GlobalPlacer::place`], plus
+    /// [`PlaceError::Coarsening`] when multilevel clustering fails and
     /// [`PlaceError::Checkpoint`] when a snapshot cannot be saved or a
     /// resume snapshot does not match the design/configuration.
     pub fn place_traced_opts(
@@ -258,11 +233,7 @@ impl GlobalPlacer {
             cfg.schedule.stop_overflow = ml
                 .coarse_stop_overflow
                 .max(self.config.schedule.stop_overflow);
-            let mut placer = GlobalPlacer::new(cfg);
-            if let Some(pool) = self.pool {
-                placer = placer.with_pool(pool);
-            }
-            let report = placer.place_flat(
+            let report = GlobalPlacer::new(cfg).place_flat(
                 &mut levels[li].design,
                 &mut NullSink,
                 CheckpointOptions::none(),
@@ -291,8 +262,7 @@ impl GlobalPlacer {
         Ok(report)
     }
 
-    /// Single-level global placement (the pre-multilevel `place_traced`
-    /// body).
+    /// Single-level global placement.
     fn place_flat(
         &mut self,
         design: &mut Design,
@@ -360,9 +330,6 @@ impl GlobalPlacer {
 
         let mut engine = GradientEngine::new(self.config.framework, self.config.operators, &model)?;
         engine.set_threads(self.config.threads);
-        if let Some(pool) = self.pool {
-            engine.set_pool(pool);
-        }
         if let Some(g) = self.guidance.take() {
             engine.set_guidance(g);
         }
@@ -876,7 +843,7 @@ mod tests {
         cfg.schedule.max_iterations = 120;
         let mut sink = VecSink::new();
         let report = GlobalPlacer::new(cfg)
-            .place_traced(&mut design, &mut sink)
+            .place_traced_opts(&mut design, &mut sink, CheckpointOptions::none())
             .unwrap();
 
         let events = sink.events();
@@ -927,7 +894,7 @@ mod tests {
             let mut design = small_design(29);
             let mut sink = xplace_telemetry::VecSink::new();
             GlobalPlacer::new(cfg.clone().with_threads(threads))
-                .place_traced(&mut design, &mut sink)
+                .place_traced_opts(&mut design, &mut sink, CheckpointOptions::none())
                 .unwrap();
             sink.to_jsonl()
         };
@@ -954,27 +921,6 @@ mod tests {
             msg.contains("injected failure at GP iteration 5"),
             "unexpected panic message: {msg}"
         );
-    }
-
-    #[test]
-    fn injected_pool_reproduces_global_pool_results_bitwise() {
-        static POOL: std::sync::OnceLock<xplace_parallel::WorkerPool> = std::sync::OnceLock::new();
-        let pool = POOL.get_or_init(|| xplace_parallel::WorkerPool::new(3));
-        let run = |pool: Option<&'static xplace_parallel::WorkerPool>| {
-            let mut design = small_design(33);
-            let mut cfg = XplaceConfig::xplace().with_threads(3);
-            cfg.schedule.max_iterations = 80;
-            let mut placer = GlobalPlacer::new(cfg);
-            if let Some(p) = pool {
-                placer = placer.with_pool(p);
-            }
-            let report = placer.place(&mut design).unwrap();
-            (report.final_hpwl, report.final_overflow)
-        };
-        let (h1, o1) = run(None);
-        let (h2, o2) = run(Some(pool));
-        assert_eq!(h1.to_bits(), h2.to_bits());
-        assert_eq!(o1.to_bits(), o2.to_bits());
     }
 
     fn multilevel_cfg(max_final_iters: usize) -> XplaceConfig {
@@ -1035,7 +981,7 @@ mod tests {
                 synthesize(&SynthesisSpec::new("ml", 1200, 1300).with_seed(43)).unwrap();
             let mut sink = xplace_telemetry::VecSink::new();
             GlobalPlacer::new(multilevel_cfg(80).with_threads(threads))
-                .place_traced(&mut design, &mut sink)
+                .place_traced_opts(&mut design, &mut sink, CheckpointOptions::none())
                 .unwrap();
             (sink.to_jsonl(), design.positions().to_vec())
         };
@@ -1258,7 +1204,7 @@ mod tests {
         let mut full_design = small_design(61);
         let mut full_sink = xplace_telemetry::VecSink::new();
         let full_report = GlobalPlacer::new(cfg.clone())
-            .place_traced(&mut full_design, &mut full_sink)
+            .place_traced_opts(&mut full_design, &mut full_sink, CheckpointOptions::none())
             .unwrap();
         let full_trace = full_sink.to_jsonl();
 

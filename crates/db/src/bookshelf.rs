@@ -13,7 +13,7 @@
 
 use crate::netlist::NetlistBuilder;
 use crate::{CellId, CellKind, DbError, Design, Point, Rect, Row};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -47,6 +47,7 @@ fn parse_kv(line: &str, key: &str) -> Option<f64> {
 }
 
 fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
+    let mut seen: HashSet<&str> = HashSet::new();
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
         if line.is_empty()
@@ -70,6 +71,22 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing height"))?
             .parse()
             .map_err(|_| DbError::parse("nodes", lineno + 1, "height is not a number"))?;
+        for (what, v) in [("width", w), ("height", h)] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(DbError::parse(
+                    "nodes",
+                    lineno + 1,
+                    format!("node `{name}` has a non-finite or negative {what} ({v})"),
+                ));
+            }
+        }
+        if !seen.insert(name) {
+            return Err(DbError::parse(
+                "nodes",
+                lineno + 1,
+                format!("duplicate node name `{name}`"),
+            ));
+        }
         let terminal = it
             .next()
             .map(|t| t.eq_ignore_ascii_case("terminal"))
@@ -186,6 +203,13 @@ fn parse_pl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             .ok_or_else(|| DbError::parse("pl", lineno + 1, "missing y"))?
             .parse()
             .map_err(|_| DbError::parse("pl", lineno + 1, "y is not a number"))?;
+        if !x.is_finite() || !y.is_finite() {
+            return Err(DbError::parse(
+                "pl",
+                lineno + 1,
+                format!("node `{name}` has a non-finite position ({x}, {y})"),
+            ));
+        }
         let fixed = line.contains("/FIXED");
         data.placements.insert(name.to_string(), (x, y, fixed));
     }
@@ -630,6 +654,58 @@ mod tests {
             DbError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_node_names_are_rejected_with_their_line() {
+        let mut data = BookshelfData::default();
+        let err =
+            parse_nodes("UCLA nodes 1.0\n o0 1 1\n o1 1 1\n o0 2 2\n", &mut data).unwrap_err();
+        assert_eq!(
+            err,
+            DbError::parse("nodes", 4, "duplicate node name `o0`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn non_finite_or_negative_node_sizes_are_rejected() {
+        for (text, line) in [
+            ("UCLA nodes 1.0\n a 1 1\n b inf 1\n", 3),
+            ("a NaN 1\n", 1),
+            ("a 1 -2\n", 1),
+        ] {
+            let mut data = BookshelfData::default();
+            let err = parse_nodes(text, &mut data).unwrap_err();
+            match &err {
+                DbError::Parse {
+                    line: l, message, ..
+                } => {
+                    assert_eq!(*l, line, "{err}");
+                    assert!(message.contains("non-finite or negative"), "{err}");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_pl_coordinates_are_rejected() {
+        let mut data = BookshelfData::default();
+        let err = parse_pl("UCLA pl 1.0\na 0 0 : N\nb NaN 5 : N\n", &mut data).unwrap_err();
+        match &err {
+            DbError::Parse {
+                format,
+                line,
+                message,
+            } => {
+                assert_eq!((format.as_str(), *line), ("pl", 3), "{err}");
+                assert!(message.contains("`b`"), "{err}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+        let err = parse_pl("a 0 -inf : N\n", &mut data).unwrap_err();
+        assert!(matches!(err, DbError::Parse { line: 1, .. }), "{err}");
     }
 
     #[test]

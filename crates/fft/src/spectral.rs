@@ -26,7 +26,6 @@
 
 use crate::batch::{BatchDct, TILE};
 use crate::{DctPlan, FftError, Grid2};
-use xplace_parallel::WorkerPool;
 
 /// The potential and electric-field maps produced by one density solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,22 +106,19 @@ pub struct ElectrostaticSolver {
     sbuf_ey: Vec<f64>,
     /// Launch width for the tile batches (>= 1).
     threads: usize,
-    /// Pool the tile batches launch on (the process-global pool by
-    /// default; batch schedulers inject their own handle).
-    pool: &'static WorkerPool,
 }
 
 /// Runs `f(tile, re, im, outs)` for every tile of the transform planes,
 /// where `re`/`im` are the tile's `tile_len` plane samples and each of
 /// `outs` is the tile's `tile_len`-long chunk of an output grid. Contiguous
-/// tile ranges are spread over at most `width` pool tasks.
+/// tile ranges are spread over at most `width` tasks of the process-wide
+/// worker pool.
 ///
 /// A tile's transforms read only shared inputs and write only the tile's
 /// own planes and output chunks, and every column goes through the same
 /// operations whichever task runs it, so the result is bit-identical for
 /// **any** width; `width <= 1` (or a single tile) runs inline.
 fn run_tiles<const K: usize, F>(
-    pool: &WorkerPool,
     width: usize,
     tile_len: usize,
     re: &mut [f64],
@@ -164,7 +160,7 @@ fn run_tiles<const K: usize, F>(
             (i * per_task, re, im, chunks)
         })
         .collect();
-    pool.run_mut(&mut states, tasks, |_, (t0, re, im, outs)| {
+    xplace_parallel::global().run_mut(&mut states, tasks, |_, (t0, re, im, outs)| {
         run(*t0, re, im, outs.each_mut().map(|o| &mut **o));
     });
 }
@@ -198,7 +194,6 @@ impl ElectrostaticSolver {
             sbuf_ex: vec![0.0; nx * ny],
             sbuf_ey: vec![0.0; nx * ny],
             threads: 1,
-            pool: xplace_parallel::global(),
         })
     }
 
@@ -219,16 +214,6 @@ impl ElectrostaticSolver {
     /// Current launch width for the tile batches.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Redirects the tile batches onto `pool` (the process-global pool is
-    /// used until this is called).
-    ///
-    /// Column transforms are arithmetic-independent and the tile-to-column
-    /// mapping is fixed, so the solution is bit-identical regardless of
-    /// which pool executes the batches.
-    pub fn set_pool(&mut self, pool: &'static WorkerPool) {
-        self.pool = pool;
     }
 
     /// Solves the electrostatic system, allocating a fresh [`FieldSolution`].
@@ -296,7 +281,6 @@ impl ElectrostaticSolver {
         let w = TILE.min(nx);
         let rho = density.as_slice();
         run_tiles(
-            self.pool,
             self.threads,
             w * ny,
             &mut self.re,
@@ -314,7 +298,6 @@ impl ElectrostaticSolver {
         let norm = 4.0 / (nx as f64 * ny as f64);
         let ybuf = &self.sbuf_pot;
         run_tiles(
-            self.pool,
             self.threads,
             w * nx,
             &mut self.re,
@@ -359,7 +342,6 @@ impl ElectrostaticSolver {
         let (plan_x, plan_y, wx, wy) = (&self.plan_x, &self.plan_y, &self.wx, &self.wy);
         let w = TILE.min(ny);
         run_tiles(
-            self.pool,
             self.threads,
             w * nx,
             &mut self.re,
@@ -381,7 +363,6 @@ impl ElectrostaticSolver {
         let w = TILE.min(nx);
         let (pot, ex, ey) = (&self.sbuf_pot, &self.sbuf_ex, &self.sbuf_ey);
         run_tiles(
-            self.pool,
             self.threads,
             w * ny,
             &mut self.re,

@@ -16,7 +16,6 @@
 use crate::{OpsError, PlacementModel};
 use xplace_device::{Device, KernelInfo};
 use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
-use xplace_parallel::WorkerPool;
 
 const SQRT2: f64 = std::f64::consts::SQRT_2;
 
@@ -161,9 +160,6 @@ pub struct DensityOp {
     /// spectral solve (1 = serial; results are identical for every count
     /// because the work decomposition is thread-count independent).
     threads: usize,
-    /// Pool the accumulation blocks launch on (the process-global pool by
-    /// default; batch schedulers inject their own handle).
-    pool: &'static WorkerPool,
     /// Node-block size of the blocked decomposition (normally
     /// [`NODE_BLOCK`]; overridable for tests/benches).
     node_block: usize,
@@ -201,7 +197,6 @@ impl DensityOp {
             nx,
             ny,
             threads: 1,
-            pool: xplace_parallel::global(),
             node_block: NODE_BLOCK,
             blocks: Vec::new(),
             oy: Vec::new(),
@@ -215,15 +210,6 @@ impl DensityOp {
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
         self.solver.set_threads(self.threads);
-    }
-
-    /// Redirects the accumulation blocks and the spectral solve onto `pool`
-    /// (the process-global pool is used until this is called). The block
-    /// decomposition is fixed by the model, so results are bit-identical
-    /// regardless of which pool executes it.
-    pub fn set_pool(&mut self, pool: &'static WorkerPool) {
-        self.pool = pool;
-        self.solver.set_pool(pool);
     }
 
     /// Overrides the node-block size of the blocked decomposition (clamped
@@ -325,7 +311,7 @@ impl DensityOp {
                     .resize_with(blocks.len(), || (Grid2::new(nx, ny), Vec::new()));
             }
             let partials = &mut self.blocks[..blocks.len()];
-            self.pool.run_mut(partials, self.threads, |b, (local, oy)| {
+            xplace_parallel::global().run_mut(partials, self.threads, |b, (local, oy)| {
                 local.fill_zero();
                 for i in blocks[b].clone() {
                     binning.accumulate_node(model, i, oy, local);

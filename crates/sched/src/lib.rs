@@ -7,10 +7,11 @@
 //! * **Deterministic ordering** — results are keyed by job index (manifest
 //!   order), never by completion order. Job `i`'s slot in the
 //!   [`BatchReport`] and its trace are the same for every thread count.
-//! * **Bit-identical to serial** — each job runs the exact GP → LG → DP
-//!   flow a serial `xplace place` run would, and every kernel
-//!   decomposition is thread-count-invariant, so a job's metrics and its
-//!   JSON-lines trace are byte-identical to the serial run's.
+//! * **Bit-identical to serial** — each job runs the same [`run_flow`]
+//!   pipeline (GP → LG → DP → legality → congestion) a serial
+//!   `xplace place` run does, and every kernel decomposition is
+//!   thread-count-invariant, so a job's metrics and its JSON-lines trace
+//!   are byte-identical to the serial run's.
 //! * **Failure isolation** — each job is fenced by its own `catch_unwind`
 //!   ([`WorkerPool::run_isolated`](xplace_parallel::WorkerPool::run_isolated)):
 //!   a panicking or erroring design is reported as a failed [`JobRecord`]
@@ -34,9 +35,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod flow;
 mod manifest;
 mod population;
 
+pub use flow::{finish_flow, run_flow};
 pub use manifest::{BatchManifest, DesignSource, JobSpec};
 pub use population::{run_population, PopulationOptions, PopulationOutcome};
 
@@ -45,12 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use xplace_core::{Checkpoint, CheckpointOptions, GlobalPlacer, MemoryCheckpointStore};
 use xplace_db::DesignCache;
 use xplace_fault::{FaultPlan, GpFault};
-use xplace_legal::{check_legality, detailed_place, legalize, DpConfig};
-use xplace_route::{estimate_congestion, RouteConfig};
-use xplace_telemetry::{
-    BatchReport, CallbackSink, DpMetrics, JobRecord, LgMetrics, RouteMetrics, RunReport,
-    TelemetrySink, VecSink,
-};
+use xplace_telemetry::{BatchReport, CallbackSink, JobRecord, RunReport, TelemetrySink, VecSink};
 
 /// The failure message of a job skipped because its batch was cancelled
 /// before the job started. In-flight jobs are never interrupted — only
@@ -94,12 +92,12 @@ pub struct BatchOutcome {
     pub report: BatchReport,
     /// Per-job traces in manifest order; `None` for failed jobs.
     pub traces: Vec<Option<String>>,
-    /// Design-cache `(hits, misses)` across the batch.
+    /// The session cache's cumulative `(hits, misses)` — not this
+    /// batch's delta when the cache outlives the batch.
     pub cache_stats: (usize, usize),
 }
 
-/// Runs one job of a manifest: load (through `cache`) → GP → LG → DP →
-/// legality check → congestion estimate.
+/// Runs one job of a manifest: load (through `cache`), then [`run_flow`].
 ///
 /// `threads` is the kernel launch width; it never changes metrics, only
 /// wall-clock time. When the job runs on a pool worker (a concurrent
@@ -114,36 +112,18 @@ pub struct BatchOutcome {
 /// *not* caught here — [`run_batch`] fences them per job.
 pub fn run_job(job: &JobSpec, threads: usize, cache: &DesignCache) -> Result<JobOutcome, String> {
     let mut sink = VecSink::new();
-    let report = run_job_with_sink(job, threads, cache, &mut sink)?;
+    let report = run_job_attempt(
+        job,
+        threads,
+        cache,
+        &mut sink,
+        GpFault::NONE,
+        CheckpointOptions::none(),
+    )?;
     Ok(JobOutcome {
         report,
         trace: sink.to_jsonl(),
     })
-}
-
-/// Like [`run_job`], but the caller supplies the telemetry sink — the
-/// streaming entry point. With a
-/// [`CallbackSink`](xplace_telemetry::CallbackSink) the job's trace
-/// lines leave the process while GP iterates instead of buffering until
-/// the job ends; with a [`VecSink`] this is exactly [`run_job`].
-///
-/// # Errors
-///
-/// Same contract as [`run_job`].
-pub fn run_job_with_sink(
-    job: &JobSpec,
-    threads: usize,
-    cache: &DesignCache,
-    sink: &mut dyn TelemetrySink,
-) -> Result<RunReport, String> {
-    run_job_attempt(
-        job,
-        threads,
-        cache,
-        sink,
-        GpFault::NONE,
-        CheckpointOptions::none(),
-    )
 }
 
 /// One attempt of a job under the scheduler's fault machinery: `fault`
@@ -171,45 +151,7 @@ fn run_job_attempt(
     };
     let mut config = job.config(threads);
     config.fault = fault;
-    let gp = GlobalPlacer::new(config.clone())
-        .place_traced_opts(&mut design, sink, ckpt)
-        .map_err(|e| format!("global placement: {e}"))?;
-    let lg = legalize(&mut design).map_err(|e| format!("legalization: {e}"))?;
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    check_legality(&design).map_err(|e| format!("legality check: {e}"))?;
-    let congestion = estimate_congestion(&design, &RouteConfig::default());
-    let report = RunReport {
-        design: design.name().to_string(),
-        cells: design.netlist().num_cells(),
-        nets: design.netlist().num_nets(),
-        config: config.echo(),
-        threads: config.threads,
-        gp: gp.gp_metrics(),
-        lg: Some(LgMetrics {
-            initial_hpwl: lg.initial_hpwl,
-            final_hpwl: lg.final_hpwl,
-            mean_displacement: lg.mean_displacement,
-            max_displacement: lg.max_displacement,
-            wall_seconds: lg.wall_seconds,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: dp.initial_hpwl,
-            final_hpwl: dp.final_hpwl,
-            slides: dp.slides,
-            reorders: dp.reorders,
-            swaps: dp.swaps,
-            wall_seconds: dp.wall_seconds,
-        }),
-        route: Some(RouteMetrics {
-            top5_overflow: congestion.top_overflow(0.05),
-            max_utilization: congestion.max_utilization(),
-        }),
-        spectral: None,
-        scaling: None,
-        explore: None,
-        trace_error: None,
-    };
-    Ok(report)
+    run_flow(&mut design, GlobalPlacer::new(config), sink, ckpt)
 }
 
 /// One incremental progress notification of a running batch, delivered
@@ -334,40 +276,21 @@ impl<'a> BatchSession<'a> {
     }
 }
 
-/// Runs every job of `manifest` concurrently on up to `threads` threads
-/// of the process-wide worker pool, with a private design cache.
+/// Runs every job of `manifest` under `session`: concurrently on up to
+/// `session.threads` threads of the process-wide worker pool, loading
+/// designs through the session's cache, honouring its cancel flags, and
+/// reporting progress to its observer.
 ///
 /// Jobs are dispatched with the pool's fixed task→executor mapping and
 /// collected by job index, so the [`BatchOutcome`] is deterministic for
 /// any thread count. A job that panics or errors becomes a failed
 /// [`JobRecord`] (with the panic payload or error text) without
 /// affecting its siblings — the batch itself always returns.
-pub fn run_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
-    let cache = DesignCache::new();
-    run_batch_session(manifest, &BatchSession::new(threads, &cache))
-}
-
-/// [`run_batch`] against a caller-owned cache: consecutive batches share
-/// design loads, which is how a serving daemon keeps caches warm across
-/// requests. The returned [`BatchOutcome::cache_stats`] are the cache's
-/// *cumulative* counters, not this batch's delta.
-pub fn run_batch_with_cache(
-    manifest: &BatchManifest,
-    threads: usize,
-    cache: &DesignCache,
-) -> BatchOutcome {
-    run_batch_session(manifest, &BatchSession::new(threads, cache))
-}
-
-/// The full-control batch entry point: runs `manifest` under `session`
-/// (shared cache, optional cancellation, optional streaming observer).
 ///
 /// Per job, the observer sees every trace line as it is emitted and one
-/// terminal [`BatchEvent::JobDone`]; the returned [`BatchOutcome`] is
-/// identical to [`run_batch`]'s for the same manifest and thread count
-/// (byte-identical traces, same report) — observation never perturbs
-/// execution.
-pub fn run_batch_session(manifest: &BatchManifest, session: &BatchSession<'_>) -> BatchOutcome {
+/// terminal [`BatchEvent::JobDone`]; observation never perturbs
+/// execution (byte-identical traces, same report).
+pub fn run_batch(manifest: &BatchManifest, session: &BatchSession<'_>) -> BatchOutcome {
     let pool = xplace_parallel::global();
     let results = pool.run_isolated(manifest.jobs.len(), session.threads.max(1), |i| {
         let job = &manifest.jobs[i];
@@ -596,6 +519,11 @@ mod tests {
     use super::*;
     use xplace_telemetry::{JobStatus, ToJson};
 
+    /// A batch over a fresh, private design cache.
+    fn fresh_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
+        run_batch(manifest, &BatchSession::new(threads, &DesignCache::new()))
+    }
+
     fn manifest(jobs: &str) -> BatchManifest {
         BatchManifest::parse(&format!("{{\"jobs\": [{jobs}]}}")).expect("test manifest parses")
     }
@@ -615,7 +543,7 @@ mod tests {
             .map(|j| run_job(j, 1, &serial_cache).unwrap())
             .collect();
         for threads in [1, 4] {
-            let batch = run_batch(&m, threads);
+            let batch = fresh_batch(&m, threads);
             assert!(batch.report.all_completed());
             for (i, job) in batch.report.jobs.iter().enumerate() {
                 let got = job.report.as_ref().unwrap();
@@ -647,7 +575,7 @@ mod tests {
                  "faults": [{{"target": "broken", "kind": "gp_panic", "iteration": 5}}]}}"#
         ))
         .unwrap();
-        let batch = run_batch(&m, 4);
+        let batch = fresh_batch(&m, 4);
         assert_eq!(batch.report.total(), 3);
         assert_eq!(batch.report.failed(), 1);
         let record = batch.report.job("broken").unwrap();
@@ -687,8 +615,8 @@ mod tests {
         ))
         .unwrap();
         let clean = BatchManifest::parse(&format!(r#"{{"jobs": [{flaky}]}}"#)).unwrap();
-        let recovered = run_batch(&faulted, 2);
-        let reference = run_batch(&clean, 2);
+        let recovered = fresh_batch(&faulted, 2);
+        let reference = fresh_batch(&clean, 2);
         assert!(recovered.report.all_completed(), "{:?}", recovered.report);
         let got = recovered.report.jobs[0].report.as_ref().unwrap();
         let want = reference.report.jobs[0].report.as_ref().unwrap();
@@ -722,13 +650,13 @@ mod tests {
                  "retries": 1}}"#
         ))
         .unwrap();
-        let batch = run_batch(&m, 2);
+        let batch = fresh_batch(&m, 2);
         assert!(batch.report.all_completed(), "{:?}", batch.report);
         assert_eq!(batch.report.jobs[0].retries, 1);
         // Without a retry budget the same fault is terminal.
         let mut exhausted = m.clone();
         exhausted.retries = 0;
-        let batch = run_batch(&exhausted, 2);
+        let batch = fresh_batch(&exhausted, 2);
         assert_eq!(batch.report.failed(), 1);
         assert!(
             batch.report.jobs[0]
@@ -749,7 +677,7 @@ mod tests {
                  "retries": 3}}"#
         ))
         .unwrap();
-        let batch = run_batch(&m, 2);
+        let batch = fresh_batch(&m, 2);
         assert_eq!(batch.report.failed(), 1);
         let record = &batch.report.jobs[0];
         assert_eq!(record.error.as_deref(), Some(POISONED_MSG));
@@ -770,7 +698,7 @@ mod tests {
                  "deadline_ns": 1000000000}}"#
         ))
         .unwrap();
-        let batch = run_batch(&m, 2);
+        let batch = fresh_batch(&m, 2);
         assert_eq!(batch.report.failed(), 1);
         let record = &batch.report.jobs[0];
         assert!(record.deadline_exceeded);
@@ -786,7 +714,7 @@ mod tests {
         // Without the stall the same deadline is comfortably met.
         let mut clean = m.clone();
         clean.faults = xplace_fault::FaultPlan::none();
-        let batch = run_batch(&clean, 2);
+        let batch = fresh_batch(&clean, 2);
         assert!(batch.report.all_completed(), "{:?}", batch.report);
     }
 
@@ -803,7 +731,7 @@ mod tests {
     fn load_errors_fail_the_job_not_the_batch() {
         let missing = r#"{"name": "missing", "aux": "/nonexistent/never.aux"}"#;
         let m = manifest(&format!("{TINY_A}, {missing}"));
-        let batch = run_batch(&m, 2);
+        let batch = fresh_batch(&m, 2);
         assert_eq!(batch.report.completed(), 1);
         let record = batch.report.job("missing").unwrap();
         assert_eq!(record.status, JobStatus::Failed);
@@ -825,7 +753,7 @@ mod tests {
                {"name": "s2", "synth": {"cells": 200, "nets": 210, "seed": 3},
                 "max_iters": 60, "seed": 2}"#,
         );
-        let batch = run_batch(&m, 2);
+        let batch = fresh_batch(&m, 2);
         assert!(batch.report.all_completed());
         assert_eq!(batch.cache_stats, (1, 1));
         let h1 = batch.report.jobs[0].report.as_ref().unwrap().final_hpwl();
@@ -855,8 +783,8 @@ mod tests {
         }]);
         let parsed = manifest(TINY_A);
         assert_eq!(built, parsed, "programmatic and parsed manifests agree");
-        let from_built = run_batch(&built, 2);
-        let from_parsed = run_batch(&parsed, 2);
+        let from_built = fresh_batch(&built, 2);
+        let from_parsed = fresh_batch(&parsed, 2);
         assert!(from_built.report.all_completed());
         assert_eq!(from_built.traces, from_parsed.traces);
     }
@@ -873,10 +801,10 @@ mod tests {
                 "max_iters": 60, "seed": 2}"#,
         );
         let cache = DesignCache::new();
-        let first = run_batch_with_cache(&m, 2, &cache);
+        let first = run_batch(&m, &BatchSession::new(2, &cache));
         assert!(first.report.all_completed());
         assert_eq!(first.cache_stats, (1, 1), "cold batch: one miss, one hit");
-        let second = run_batch_with_cache(&m, 2, &cache);
+        let second = run_batch(&m, &BatchSession::new(2, &cache));
         assert!(second.report.all_completed());
         assert_eq!(
             second.cache_stats,
@@ -893,7 +821,7 @@ mod tests {
         let cancel = AtomicBool::new(true);
         let cache = DesignCache::new();
         let session = BatchSession::new(1, &cache).with_cancel(&cancel);
-        let outcome = run_batch_session(&m, &session);
+        let outcome = run_batch(&m, &session);
         assert_eq!(outcome.report.failed(), 2);
         for record in &outcome.report.jobs {
             assert_eq!(record.error.as_deref(), Some(CANCELLED_MSG));
@@ -918,14 +846,14 @@ mod tests {
         let session = BatchSession::new(1, &cache)
             .with_client_gone(&gone)
             .with_observer(&observer);
-        let outcome = run_batch_session(&m, &session);
+        let outcome = run_batch(&m, &session);
         assert_eq!(outcome.report.jobs[0].status, JobStatus::Completed);
         assert_eq!(
             outcome.report.jobs[1].error.as_deref(),
             Some(DISCONNECTED_MSG),
             "jobs after the disconnect must be skipped, not run for nobody"
         );
-        let reference = run_batch(&m, 1);
+        let reference = fresh_batch(&m, 1);
         assert_eq!(outcome.traces[0], reference.traces[0]);
 
         // When both a drain and a disconnect are pending, the batch-wide
@@ -935,7 +863,7 @@ mod tests {
         let session = BatchSession::new(1, &cache)
             .with_cancel(&cancel)
             .with_client_gone(&gone);
-        let outcome = run_batch_session(&m, &session);
+        let outcome = run_batch(&m, &session);
         for record in &outcome.report.jobs {
             assert_eq!(record.error.as_deref(), Some(CANCELLED_MSG));
         }
@@ -957,7 +885,7 @@ mod tests {
         let session = BatchSession::new(1, &cache)
             .with_cancel(&cancel)
             .with_observer(&observer);
-        let outcome = run_batch_session(&m, &session);
+        let outcome = run_batch(&m, &session);
         assert_eq!(outcome.report.jobs[0].status, JobStatus::Completed);
         assert_eq!(
             outcome.report.jobs[1].error.as_deref(),
@@ -965,7 +893,7 @@ mod tests {
             "job after the cancel point must be skipped"
         );
         // The drained job is bit-identical to an uncancelled run's.
-        let reference = run_batch(&m, 1);
+        let reference = fresh_batch(&m, 1);
         assert_eq!(outcome.traces[0], reference.traces[0]);
     }
 
@@ -996,7 +924,7 @@ mod tests {
         };
         let cache = DesignCache::new();
         let session = BatchSession::new(4, &cache).with_observer(&observer);
-        let outcome = run_batch_session(&m, &session);
+        let outcome = run_batch(&m, &session);
         assert!(outcome.report.all_completed());
         assert_eq!(*started.lock().unwrap(), vec![true, true]);
         assert_eq!(*done.lock().unwrap(), vec![true, true]);
@@ -1009,15 +937,15 @@ mod tests {
             );
         }
         // And observation never perturbs the run.
-        let silent = run_batch(&m, 4);
+        let silent = fresh_batch(&m, 4);
         assert_eq!(silent.traces, outcome.traces);
     }
 
     #[test]
     fn batch_is_reproducible_run_to_run() {
         let m = manifest(&format!("{TINY_A}, {TINY_B}"));
-        let first = run_batch(&m, 4);
-        let second = run_batch(&m, 2);
+        let first = fresh_batch(&m, 4);
+        let second = fresh_batch(&m, 2);
         assert_eq!(first.traces, second.traces);
         let cmp = xplace_telemetry::compare_batch_reports(
             &first.report,

@@ -30,12 +30,7 @@ use xplace_core::{
     PlacementReport, XplaceConfig,
 };
 use xplace_db::Design;
-use xplace_legal::{check_legality, detailed_place, legalize, DpConfig};
-use xplace_route::{estimate_congestion, RouteConfig};
-use xplace_telemetry::{
-    DpMetrics, ExploreGeneration, ExploreMember, ExploreMetrics, LgMetrics, RouteMetrics,
-    RunReport, VecSink,
-};
+use xplace_telemetry::{ExploreGeneration, ExploreMember, ExploreMetrics, RunReport, VecSink};
 
 /// How a population explores: member count, barrier schedule, and cull
 /// survivor count.
@@ -354,12 +349,14 @@ pub fn run_population(
     let mut winner_design = designs[winner].take().expect("winner ran");
 
     // Finish the winner through the serial back half of the flow.
-    let lg = legalize(&mut winner_design).map_err(|e| format!("legalization: {e}"))?;
-    let dp = detailed_place(&mut winner_design, &DpConfig::default());
-    check_legality(&winner_design).map_err(|e| format!("legality check: {e}"))?;
-    let congestion = estimate_congestion(&winner_design, &RouteConfig::default());
-
-    let explore = ExploreMetrics {
+    let mut report = crate::finish_flow(&mut winner_design, config, &winner_report)?;
+    // Wall-clock fields are zeroed: the winner's stitched lineage never
+    // ran as one wall-clock run, and dropping the only machine-dependent
+    // quantities makes the population report byte-identical for any
+    // thread count (the modeled-ns fields carry the deterministic cost).
+    report.zero_wall_clock();
+    report.threads = 1;
+    report.explore = Some(ExploreMetrics {
         members: k,
         keep: options.keep,
         generations,
@@ -367,47 +364,7 @@ pub fn run_population(
         winner_lineage: history[winner].clone(),
         winner_hpwl: winner_report.final_hpwl,
         total_modeled_ns,
-    };
-    let report = RunReport {
-        design: winner_design.name().to_string(),
-        cells: winner_design.netlist().num_cells(),
-        nets: winner_design.netlist().num_nets(),
-        config: config.echo(),
-        threads: 1,
-        // Wall-clock fields are zeroed: the winner's stitched lineage
-        // never ran as one wall-clock run, and dropping the only
-        // machine-dependent quantities makes the population report
-        // byte-identical for any thread count (the modeled-ns fields
-        // carry the deterministic cost).
-        gp: {
-            let mut gp = winner_report.gp_metrics();
-            gp.wall_seconds = 0.0;
-            gp
-        },
-        lg: Some(LgMetrics {
-            initial_hpwl: lg.initial_hpwl,
-            final_hpwl: lg.final_hpwl,
-            mean_displacement: lg.mean_displacement,
-            max_displacement: lg.max_displacement,
-            wall_seconds: 0.0,
-        }),
-        dp: Some(DpMetrics {
-            initial_hpwl: dp.initial_hpwl,
-            final_hpwl: dp.final_hpwl,
-            slides: dp.slides,
-            reorders: dp.reorders,
-            swaps: dp.swaps,
-            wall_seconds: 0.0,
-        }),
-        route: Some(RouteMetrics {
-            top5_overflow: congestion.top_overflow(0.05),
-            max_utilization: congestion.max_utilization(),
-        }),
-        spectral: None,
-        scaling: None,
-        explore: Some(explore),
-        trace_error: None,
-    };
+    });
     Ok(PopulationOutcome {
         report,
         trace: std::mem::take(&mut traces[winner]),
@@ -451,44 +408,6 @@ mod tests {
             wide.report.to_json_string(),
             "winner report must not depend on width"
         );
-    }
-
-    #[test]
-    fn single_member_population_degenerates_to_the_plain_run() {
-        let design = small_design(5);
-        let config = small_config();
-        let opts = PopulationOptions {
-            members: 1,
-            generations: 4,
-            keep: 1,
-            threads: 2,
-        };
-        let pop = run_population(&design, &config, &opts).unwrap();
-        // The uninterrupted reference run.
-        let mut reference_design = design.clone();
-        let mut member_config = config.clone();
-        member_config.threads = 1;
-        let mut sink = VecSink::new();
-        let reference = GlobalPlacer::new(member_config)
-            .place_traced_opts(&mut reference_design, &mut sink, CheckpointOptions::none())
-            .unwrap();
-        assert_eq!(
-            pop.trace,
-            sink.to_jsonl(),
-            "K=1 must stitch to the plain trace"
-        );
-        assert_eq!(
-            pop.report.gp.modeled_ns,
-            reference.gp_metrics().modeled_ns,
-            "K=1 modeled cost equals the plain run's"
-        );
-        let explore = pop.report.explore.as_ref().unwrap();
-        assert_eq!(explore.winner, 0);
-        assert_eq!(explore.winner_lineage, vec![0, 0, 0, 0]);
-        assert!(explore
-            .generations
-            .iter()
-            .all(|g| g.members.iter().all(|m| !m.culled)));
     }
 
     #[test]

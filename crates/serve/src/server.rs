@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use xplace_db::DesignCache;
-use xplace_sched::{run_batch_session, BatchEvent, BatchManifest, BatchSession};
+use xplace_sched::{run_batch, BatchEvent, BatchManifest, BatchSession};
 use xplace_telemetry::{Json, ToJson};
 
 /// How a [`Server`] behaves: where it listens and how it bounds load.
@@ -425,7 +425,7 @@ fn handle_batch(
         .with_cancel(&shared.draining)
         .with_client_gone(&dead)
         .with_observer(&observer);
-    let outcome = run_batch_session(&manifest, &session);
+    let outcome = run_batch(&manifest, &session);
 
     {
         let mut counters = shared.counters.lock().unwrap_or_else(|e| e.into_inner());

@@ -290,6 +290,25 @@ impl RunReport {
             .or_else(|| self.lg.as_ref().map(|l| l.final_hpwl))
             .unwrap_or(self.gp.final_hpwl)
     }
+
+    /// LG + DP wall-clock seconds (the paper's DP/s column).
+    pub fn lg_dp_wall_seconds(&self) -> f64 {
+        self.lg.as_ref().map_or(0.0, |l| l.wall_seconds)
+            + self.dp.as_ref().map_or(0.0, |d| d.wall_seconds)
+    }
+
+    /// Zeroes every wall-clock field (GP, LG, DP), leaving only
+    /// deterministic quantities — for reports that must be
+    /// byte-identical across machines and thread counts.
+    pub fn zero_wall_clock(&mut self) {
+        self.gp.wall_seconds = 0.0;
+        if let Some(lg) = self.lg.as_mut() {
+            lg.wall_seconds = 0.0;
+        }
+        if let Some(dp) = self.dp.as_mut() {
+            dp.wall_seconds = 0.0;
+        }
+    }
 }
 
 impl ToJson for GpMetrics {

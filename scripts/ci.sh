@@ -86,6 +86,32 @@ fi
 grep -q "fine .*completed" "$SMOKE/batch-fail.out" \
     || { echo "FAIL: the healthy sibling did not complete" >&2; exit 1; }
 
+echo "==> hostile input: a duplicated .nodes name fails at load time, never retried"
+mkdir -p "$SMOKE/dup"
+cp "$SMOKE"/ci-smoke.* "$SMOKE/dup/"
+# Append a second copy of the first node record.
+awk '$1 !~ /^(UCLA|NumNodes|NumTerminals)$/ && NF >= 3 { print; exit }' \
+    "$SMOKE/ci-smoke.nodes" >> "$SMOKE/dup/ci-smoke.nodes"
+set +e
+./target/release/xplace place "$SMOKE/dup/ci-smoke.aux" --max-iters 30 \
+    -o "$SMOKE/dup/out.pl" >/dev/null 2>"$SMOKE/dup/place.err"
+CODE=$?
+set -e
+[ "$CODE" -eq 1 ] \
+    || { echo "FAIL: place on a duplicated node exited $CODE, want 1" >&2; exit 1; }
+grep -q "nodes parse error at line" "$SMOKE/dup/place.err" \
+    || { echo "FAIL: place did not name the duplicated node's line" >&2; exit 1; }
+cat > "$SMOKE/dup/suite.json" <<EOF
+{"jobs": [{"name": "dup", "aux": "$SMOKE/dup/ci-smoke.aux", "max_iters": 30}], "retries": 2}
+EOF
+if ./target/release/xplace batch "$SMOKE/dup/suite.json" \
+    --report "$SMOKE/dup/batch.json" >/dev/null 2>&1; then
+    echo "FAIL: a batch with a duplicated node exited zero" >&2
+    exit 1
+fi
+grep -q '"retries":0' "$SMOKE/dup/batch.json" \
+    || { echo "FAIL: a load-time input error spent retries" >&2; exit 1; }
+
 echo "==> resume determinism: checkpointed place resumes byte-identically (threads 1, 4)"
 for T in 1 4; do
     ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 --threads "$T" \

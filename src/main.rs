@@ -45,12 +45,9 @@ use xplace::core::{
     Checkpoint, CheckpointOptions, CheckpointStore, FileCheckpointStore, GlobalPlacer, XplaceConfig,
 };
 use xplace::db::synthesis::{synthesize, SynthesisSpec, Topology};
-use xplace::db::{bookshelf, DesignStats};
-use xplace::legal::{check_legality, detailed_place, legalize, DpConfig};
-use xplace::route::{estimate_congestion, RouteConfig};
-use xplace::telemetry::{
-    DpMetrics, JsonLinesSink, LgMetrics, NullSink, RouteMetrics, RunReport, ToJson,
-};
+use xplace::db::{bookshelf, DesignCache, DesignStats};
+use xplace::sched::{run_batch, run_flow, BatchSession};
+use xplace::telemetry::{BatchReport, JsonLinesSink, NullSink, ToJson};
 
 fn usage() -> ! {
     eprintln!(
@@ -169,33 +166,29 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // it the NullSink keeps the hot loop free of telemetry work. A trace
     // I/O failure does not abort the run — the placement is still valid —
     // but it is surfaced in the report and fails the exit code.
-    let mut trace_error: Option<String> = None;
-    let gp = match &trace_path {
-        Some(p) => {
-            let mut sink = JsonLinesSink::new(BufWriter::new(File::create(p)?));
-            let gp = GlobalPlacer::new(config.clone()).place_traced_opts(
-                &mut design,
-                &mut sink,
-                ckpt,
-            )?;
-            let written = sink.written();
-            let flushed = sink
-                .finish()
-                .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
-                .and_then(|mut f| std::io::Write::flush(&mut f).map(|()| f));
-            match flushed {
-                Ok(_) => println!("trace written to {} ({written} events)", p.display()),
-                Err(e) => {
-                    eprintln!("warning: trace stream failed after {written} event(s): {e}");
-                    trace_error = Some(e.to_string());
-                }
-            }
-            gp
-        }
-        None => {
-            GlobalPlacer::new(config.clone()).place_traced_opts(&mut design, &mut NullSink, ckpt)?
-        }
+    let mut sink = match &trace_path {
+        Some(p) => Some(JsonLinesSink::new(BufWriter::new(File::create(p)?))),
+        None => None,
     };
+    let placer = GlobalPlacer::new(config);
+    let mut report = match sink.as_mut() {
+        Some(sink) => run_flow(&mut design, placer, sink, ckpt)?,
+        None => run_flow(&mut design, placer, &mut NullSink, ckpt)?,
+    };
+    if let (Some(sink), Some(p)) = (sink, &trace_path) {
+        let written = sink.written();
+        let flushed = sink
+            .finish()
+            .and_then(|w| w.into_inner().map_err(|e| e.into_error()))
+            .and_then(|mut f| std::io::Write::flush(&mut f).map(|()| f));
+        match flushed {
+            Ok(_) => println!("trace written to {} ({written} events)", p.display()),
+            Err(e) => {
+                eprintln!("warning: trace stream failed after {written} event(s): {e}");
+                report.trace_error = Some(e.to_string());
+            }
+        }
+    }
     if let Some(s) = &store {
         println!(
             "checkpoints: {} snapshot(s) written to {}",
@@ -203,6 +196,7 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             s.path().display()
         );
     }
+    let gp = &report.gp;
     println!(
         "GP: {} iterations, overflow {:.3} -> {:.3}, HPWL {:.0} -> {:.0}, \
          modeled GPU {:.3}s ({:.3} ms/iter), wall {:.2}s",
@@ -211,71 +205,40 @@ fn cmd_place(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         gp.final_overflow,
         gp.initial_hpwl,
         gp.final_hpwl,
-        gp.modeled_gp_seconds(),
+        gp.modeled_seconds(),
         gp.modeled_ms_per_iter(),
         gp.wall_seconds
     );
-    let lg = legalize(&mut design)?;
-    println!(
-        "LG: HPWL {:.0} -> {:.0}, mean displacement {:.2} ({:.2}s)",
-        lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement, lg.wall_seconds
-    );
-    let dp = detailed_place(&mut design, &DpConfig::default());
-    println!(
-        "DP: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps, {:.2}s)",
-        dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps, dp.wall_seconds
-    );
-    check_legality(&design)?;
-    let congestion = estimate_congestion(&design, &RouteConfig::default());
-    println!(
-        "routability: top5 overflow {:.2}, max utilization {:.2}",
-        congestion.top_overflow(0.05),
-        congestion.max_utilization()
-    );
-
+    if let Some(lg) = &report.lg {
+        println!(
+            "LG: HPWL {:.0} -> {:.0}, mean displacement {:.2} ({:.2}s)",
+            lg.initial_hpwl, lg.final_hpwl, lg.mean_displacement, lg.wall_seconds
+        );
+    }
+    if let Some(dp) = &report.dp {
+        println!(
+            "DP: HPWL {:.0} -> {:.0} ({} slides, {} reorders, {} swaps, {:.2}s)",
+            dp.initial_hpwl, dp.final_hpwl, dp.slides, dp.reorders, dp.swaps, dp.wall_seconds
+        );
+    }
+    if let Some(route) = &report.route {
+        println!(
+            "routability: top5 overflow {:.2}, max utilization {:.2}",
+            route.top5_overflow, route.max_utilization
+        );
+    }
     if let Some(p) = &report_path {
-        let report = RunReport {
-            design: design.name().to_string(),
-            cells: design.netlist().num_cells(),
-            nets: design.netlist().num_nets(),
-            config: config.echo(),
-            threads: config.threads,
-            gp: gp.gp_metrics(),
-            lg: Some(LgMetrics {
-                initial_hpwl: lg.initial_hpwl,
-                final_hpwl: lg.final_hpwl,
-                mean_displacement: lg.mean_displacement,
-                max_displacement: lg.max_displacement,
-                wall_seconds: lg.wall_seconds,
-            }),
-            dp: Some(DpMetrics {
-                initial_hpwl: dp.initial_hpwl,
-                final_hpwl: dp.final_hpwl,
-                slides: dp.slides,
-                reorders: dp.reorders,
-                swaps: dp.swaps,
-                wall_seconds: dp.wall_seconds,
-            }),
-            route: Some(RouteMetrics {
-                top5_overflow: congestion.top_overflow(0.05),
-                max_utilization: congestion.max_utilization(),
-            }),
-            spectral: None,
-            scaling: None,
-            explore: None,
-            trace_error: trace_error.clone(),
-        };
         std::fs::write(p, report.to_json_string())?;
         println!("report written to {}", p.display());
     }
 
     bookshelf::write_pl(&design, &out)?;
     println!("placement written to {}", out.display());
-    if let Some(e) = trace_error {
+    if let Some(e) = report.trace_error {
         return Err(format!("trace stream failed: {e}").into());
     }
     if let Some(deadline) = robust.deadline_ns {
-        let modeled = gp.profile.modeled_ns();
+        let modeled = report.gp.modeled_ns;
         if modeled > deadline {
             return Err(format!("deadline exceeded: {modeled} modeled ns > {deadline} ns").into());
         }
@@ -377,15 +340,36 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         parsed.threads
     );
 
-    let outcome = xplace::sched::run_batch(&manifest, parsed.threads);
-    for record in &outcome.report.jobs {
+    let cache = DesignCache::new();
+    let outcome = run_batch(&manifest, &BatchSession::new(parsed.threads, &cache));
+    let (hits, misses) = outcome.cache_stats;
+    finish_batch(
+        &outcome.report,
+        &outcome.traces,
+        &format!("design cache: {hits} hit(s), {misses} miss(es)"),
+        parsed.trace_dir.as_deref(),
+        parsed.report.as_deref(),
+    )
+}
+
+/// The tail `batch` and `submit` share: one summary row per job, then
+/// `cache_summary`, the per-job trace files under `trace_dir`, the batch
+/// report at `report_path`, and an error when any job failed.
+fn finish_batch(
+    report: &BatchReport,
+    traces: &[Option<String>],
+    cache_summary: &str,
+    trace_dir: Option<&Path>,
+    report_path: Option<&Path>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    for record in &report.jobs {
         match (&record.report, &record.error) {
-            (Some(report), _) => println!(
+            (Some(run), _) => println!(
                 "  {:<20} completed  HPWL {:.0}  ({} cells, {} GP iters)",
                 record.name,
-                report.final_hpwl(),
-                report.cells,
-                report.gp.iterations
+                run.final_hpwl(),
+                run.cells,
+                run.gp.iterations
             ),
             (None, error) => println!(
                 "  {:<20} FAILED     {}",
@@ -394,13 +378,12 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             ),
         }
     }
-    let (hits, misses) = outcome.cache_stats;
-    println!("design cache: {hits} hit(s), {misses} miss(es)");
+    println!("{cache_summary}");
 
-    if let Some(dir) = &parsed.trace_dir {
+    if let Some(dir) = trace_dir {
         std::fs::create_dir_all(dir)?;
         let mut written = 0;
-        for (record, trace) in outcome.report.jobs.iter().zip(&outcome.traces) {
+        for (record, trace) in report.jobs.iter().zip(traces) {
             if let Some(text) = trace {
                 std::fs::write(dir.join(format!("{}.jsonl", record.name)), text)?;
                 written += 1;
@@ -408,18 +391,13 @@ fn cmd_batch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("traces written to {} ({written} file(s))", dir.display());
     }
-    if let Some(p) = &parsed.report {
-        std::fs::write(p, outcome.report.to_json_string())?;
+    if let Some(p) = report_path {
+        std::fs::write(p, report.to_json_string())?;
         println!("batch report written to {}", p.display());
     }
 
-    if !outcome.report.all_completed() {
-        return Err(format!(
-            "{} of {} job(s) failed",
-            outcome.report.failed(),
-            outcome.report.total()
-        )
-        .into());
+    if !report.all_completed() {
+        return Err(format!("{} of {} job(s) failed", report.failed(), report.total()).into());
     }
     Ok(())
 }
@@ -461,50 +439,14 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             status, message, ..
         } => return Err(format!("daemon rejected the batch ({status}): {message}").into()),
     };
-    for record in &wire.report.jobs {
-        match (&record.report, &record.error) {
-            (Some(report), _) => println!(
-                "  {:<20} completed  HPWL {:.0}  ({} cells, {} GP iters)",
-                record.name,
-                report.final_hpwl(),
-                report.cells,
-                report.gp.iterations
-            ),
-            (None, error) => println!(
-                "  {:<20} FAILED     {}",
-                record.name,
-                error.as_deref().unwrap_or("unknown failure")
-            ),
-        }
-    }
     let (hits, misses) = wire.cache_stats;
-    println!("daemon design cache: {hits} hit(s), {misses} miss(es) cumulative");
-
-    if let Some(dir) = &parsed.trace_dir {
-        std::fs::create_dir_all(dir)?;
-        let mut written = 0;
-        for (record, trace) in wire.report.jobs.iter().zip(&wire.traces) {
-            if let Some(text) = trace {
-                std::fs::write(dir.join(format!("{}.jsonl", record.name)), text)?;
-                written += 1;
-            }
-        }
-        println!("traces written to {} ({written} file(s))", dir.display());
-    }
-    if let Some(p) = &parsed.report {
-        std::fs::write(p, wire.report.to_json_string())?;
-        println!("batch report written to {}", p.display());
-    }
-
-    if !wire.report.all_completed() {
-        return Err(format!(
-            "{} of {} job(s) failed",
-            wire.report.failed(),
-            wire.report.total()
-        )
-        .into());
-    }
-    Ok(())
+    finish_batch(
+        &wire.report,
+        &wire.traces,
+        &format!("daemon design cache: {hits} hit(s), {misses} miss(es) cumulative"),
+        parsed.trace_dir.as_deref(),
+        parsed.report.as_deref(),
+    )
 }
 
 fn cmd_servectl(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {

@@ -7,13 +7,18 @@
 //! of the same designs would produce — for any thread count.
 
 use std::path::PathBuf;
-use xplace::core::GlobalPlacer;
+use xplace::core::{CheckpointOptions, GlobalPlacer};
 use xplace::db::DesignCache;
 use xplace::legal::{detailed_place, legalize, DpConfig};
-use xplace::sched::{run_batch, BatchManifest};
+use xplace::sched::{run_batch, BatchManifest, BatchOutcome, BatchSession};
 use xplace::telemetry::{FromJson, JobStatus, RunReport, VecSink};
 
 const MAX_ITERS: usize = 120;
+
+/// A batch over a fresh, private design cache.
+fn fresh_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
+    run_batch(manifest, &BatchSession::new(threads, &DesignCache::new()))
+}
 
 fn synth_manifest() -> BatchManifest {
     let jobs: Vec<String> = [(300usize, 320usize, 3u64), (260, 280, 4), (340, 360, 5)]
@@ -43,7 +48,7 @@ fn serial_reference(manifest: &BatchManifest) -> Vec<(f64, f64, String)> {
             let config = job.config(1);
             let mut sink = VecSink::new();
             let gp = GlobalPlacer::new(config)
-                .place_traced(&mut design, &mut sink)
+                .place_traced_opts(&mut design, &mut sink, CheckpointOptions::none())
                 .expect("serial GP");
             legalize(&mut design).expect("serial LG");
             let dp = detailed_place(&mut design, &DpConfig::default());
@@ -57,7 +62,7 @@ fn batch_of_three_matches_three_serial_runs_bytewise() {
     let manifest = synth_manifest();
     let serial = serial_reference(&manifest);
     for threads in [1, 4] {
-        let batch = run_batch(&manifest, threads);
+        let batch = fresh_batch(&manifest, threads);
         assert!(
             batch.report.all_completed(),
             "batch failed at {threads} threads: {:?}",
@@ -95,7 +100,7 @@ fn injected_failure_is_isolated_and_reported() {
         "faults": [{{"target": "doomed", "kind": "gp_panic", "iteration": 7}}]}}"#
     );
     let manifest = BatchManifest::parse(&broken).expect("manifest parses");
-    let batch = run_batch(&manifest, 4);
+    let batch = fresh_batch(&manifest, 4);
 
     assert_eq!(batch.report.total(), 3);
     assert_eq!(batch.report.failed(), 1, "exactly one job must fail");
@@ -112,7 +117,7 @@ fn injected_failure_is_isolated_and_reported() {
     );
 
     // Siblings are bit-identical to a batch with no faulty job at all.
-    let healthy = run_batch(&synth_manifest(), 4);
+    let healthy = fresh_batch(&synth_manifest(), 4);
     for (name, healthy_idx) in [("ok1", 1), ("ok2", 2)] {
         let sibling = batch.report.job(name).unwrap();
         assert_eq!(sibling.status, JobStatus::Completed, "{name}");
@@ -305,7 +310,7 @@ fn shared_cache_does_not_change_results() {
         ]}"#,
     )
     .unwrap();
-    let batch = run_batch(&manifest, 2);
+    let batch = fresh_batch(&manifest, 2);
     assert_eq!(batch.cache_stats, (1, 1), "second job must hit the cache");
     for (i, job) in manifest.jobs.iter().enumerate() {
         let fresh = xplace::sched::run_job(job, 1, &DesignCache::new()).unwrap();
@@ -320,4 +325,38 @@ fn shared_cache_does_not_change_results() {
             "job {i}: cached design must place identically to a fresh load"
         );
     }
+}
+
+#[test]
+fn duplicate_node_name_fails_at_load_without_spending_retries() {
+    // A deterministic input error is fatal: the job fails at load time
+    // with the parser's line-numbered message, and the retry budget is
+    // never touched.
+    let dir = temp_dir("dupnode");
+    let spec = xplace::db::synthesis::SynthesisSpec::new("dup", 40, 44).with_seed(3);
+    let design = xplace::db::synthesis::synthesize(&spec).expect("synthesis");
+    let aux = xplace::db::bookshelf::write_design(&design, &dir).expect("write aux");
+    let nodes = dir.join("dup.nodes");
+    let mut text = std::fs::read_to_string(&nodes).unwrap();
+    text.push_str("\to0 1 12\n");
+    let dup_line = text.lines().count();
+    std::fs::write(&nodes, text).unwrap();
+
+    let manifest = BatchManifest::parse(&format!(
+        r#"{{"jobs": [{{"name": "dup", "aux": "{}", "max_iters": 30}}], "retries": 2}}"#,
+        aux.display()
+    ))
+    .expect("manifest parses");
+    let batch = fresh_batch(&manifest, 2);
+    let record = batch.report.job("dup").unwrap();
+    assert_eq!(record.status, JobStatus::Failed);
+    assert_eq!(record.retries, 0, "an input error must not be retried");
+    let error = record.error.as_deref().unwrap();
+    assert!(
+        error.contains(&format!(
+            "nodes parse error at line {dup_line}: duplicate node name `o0`"
+        )),
+        "{error}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

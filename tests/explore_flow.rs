@@ -1,13 +1,13 @@
 //! End-to-end tests of population-based exploration (`--explore K`):
 //! the determinism contract (byte-identical winner artifacts for any
 //! pool width), the culling order (score, then member index), and the
-//! `K = 1` degeneracy to a plain single-run trace.
+//! `K = 1` degeneracy to a plain single run (same trace, same report).
 
 use xplace::cli::parse_explore_args;
 use xplace::core::{CheckpointOptions, GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::db::Design;
-use xplace::sched::{run_population, PopulationOptions};
+use xplace::sched::{run_flow, run_population, PopulationOptions};
 use xplace::telemetry::{FromJson, RunReport, ToJson, VecSink};
 
 fn explore_design() -> Design {
@@ -116,7 +116,10 @@ fn culling_ranks_by_score_then_member_index() {
 #[test]
 fn explore_one_degenerates_to_the_single_run_trace() {
     // `--explore 1` never culls, so its pause/resume segments must
-    // stitch into exactly the trace of one uninterrupted run.
+    // stitch into exactly one uninterrupted run: the same trace and,
+    // apart from the explore section, the same report as the plain flow
+    // once that report's wall clock is zeroed and its width set to 1
+    // (what every population report does).
     let design = explore_design();
     let config = explore_config();
     let options = PopulationOptions {
@@ -128,24 +131,32 @@ fn explore_one_degenerates_to_the_single_run_trace() {
     let outcome = run_population(&design, &config, &options).expect("population runs");
 
     let mut reference_design = design.clone();
-    let mut member_config = config.clone();
-    member_config.threads = 1; // members always run at kernel width 1
     let mut sink = VecSink::new();
-    let reference = GlobalPlacer::new(member_config)
-        .place_traced_opts(&mut reference_design, &mut sink, CheckpointOptions::none())
-        .expect("reference run places");
+    let mut reference = run_flow(
+        &mut reference_design,
+        GlobalPlacer::new(config),
+        &mut sink,
+        CheckpointOptions::none(),
+    )
+    .expect("reference run places");
+    reference.zero_wall_clock();
+    reference.threads = 1;
 
     assert_eq!(
         outcome.trace,
         sink.to_jsonl(),
         "K=1 must stitch to the uninterrupted trace"
     );
+    let mut report = outcome.report;
+    let explore = report
+        .explore
+        .take()
+        .expect("population report carries lineage");
     assert_eq!(
-        outcome.report.gp.modeled_ns,
-        reference.gp_metrics().modeled_ns,
-        "K=1 modeled cost equals the plain run's"
+        report.to_json_string(),
+        reference.to_json_string(),
+        "K=1 report must equal the plain run's"
     );
-    let explore = outcome.report.explore.as_ref().unwrap();
     assert_eq!(explore.winner, 0);
     assert_eq!(explore.winner_lineage, vec![0; 4]);
     assert!(explore.generations.iter().all(|g| g

@@ -8,11 +8,17 @@
 //! [`compare_batch_reports`] — for any `--threads`.
 
 use std::time::{Duration, Instant};
-use xplace::sched::{run_batch, BatchManifest, CANCELLED_MSG};
+use xplace::db::DesignCache;
+use xplace::sched::{run_batch, BatchManifest, BatchOutcome, BatchSession, CANCELLED_MSG};
 use xplace::serve::{Client, ServeConfig, Server, Submission};
 use xplace::telemetry::{compare_batch_reports, JobStatus, Json, Tolerances};
 
 const MAX_ITERS: usize = 120;
+
+/// A batch over a fresh, private design cache.
+fn fresh_batch(manifest: &BatchManifest, threads: usize) -> BatchOutcome {
+    run_batch(manifest, &BatchSession::new(threads, &DesignCache::new()))
+}
 
 fn parity_manifest() -> String {
     format!(
@@ -75,7 +81,7 @@ fn wire_submission_matches_batch_bytewise_for_any_thread_count() {
     let manifest_text = parity_manifest();
     let manifest = BatchManifest::parse(&manifest_text).expect("manifest parses");
     for threads in [1usize, 4] {
-        let reference = run_batch(&manifest, threads);
+        let reference = fresh_batch(&manifest, threads);
         let (client, handle) = serve(ServeConfig {
             threads,
             ..Default::default()
@@ -428,7 +434,7 @@ fn mid_stream_disconnect_skips_that_clients_remaining_jobs_only() {
         .unwrap()
         .expect_completed();
     assert!(sibling.report.all_completed());
-    let reference = run_batch(
+    let reference = fresh_batch(
         &BatchManifest::parse(&tiny_manifest("steady-job")).unwrap(),
         1,
     );
@@ -612,7 +618,7 @@ fn graceful_shutdown_drains_the_in_flight_job_and_cancels_the_rest() {
         Some(CANCELLED_MSG),
         "the unstarted job must be reported cancelled"
     );
-    let reference = run_batch(
+    let reference = fresh_batch(
         &BatchManifest::parse(&slow_manifest("inflight")).unwrap(),
         1,
     );

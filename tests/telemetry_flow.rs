@@ -2,7 +2,7 @@
 //! trace structure, byte-identical determinism, report round-trips, and
 //! the regression comparator on genuine run reports.
 
-use xplace::core::{GlobalPlacer, XplaceConfig};
+use xplace::core::{CheckpointOptions, GlobalPlacer, XplaceConfig};
 use xplace::db::synthesis::{synthesize, SynthesisSpec};
 use xplace::legal::{detailed_place, legalize, DpConfig};
 use xplace::telemetry::{
@@ -22,7 +22,7 @@ fn traced_run(seed: u64, max_iters: usize, threads: usize) -> String {
     let mut design = synthesize(&spec).expect("synthesis succeeds");
     let mut sink = JsonLinesSink::new(Vec::new());
     GlobalPlacer::new(config(max_iters).with_threads(threads))
-        .place_traced(&mut design, &mut sink)
+        .place_traced_opts(&mut design, &mut sink, CheckpointOptions::none())
         .expect("placement succeeds");
     String::from_utf8(sink.finish().expect("no I/O errors")).expect("valid UTF-8")
 }
