@@ -108,7 +108,9 @@ fn f64_or_inf(value: &Json) -> Result<f64, JsonError> {
     }
 }
 
-fn eval_to_json(eval: &EvalResult) -> Json {
+/// `energy` is the engine's energy, which an evaluation no longer carries;
+/// it keeps its place as the last field of the saved evaluation.
+fn eval_to_json(eval: &EvalResult, energy: f64) -> Json {
     Json::obj([
         ("wa", Json::num(eval.wa)),
         ("hpwl", Json::num(eval.hpwl)),
@@ -118,7 +120,7 @@ fn eval_to_json(eval: &EvalResult) -> Json {
         ("r_ratio", Json::num(eval.r_ratio)),
         ("density_skipped", Json::Bool(eval.density_skipped)),
         ("skip_window", Json::Bool(eval.skip_window)),
-        ("energy", Json::num(eval.energy)),
+        ("energy", Json::num(energy)),
     ])
 }
 
@@ -132,7 +134,6 @@ fn eval_from_json(value: &Json) -> Result<EvalResult, JsonError> {
         r_ratio: value.field("r_ratio")?.as_f64()?,
         density_skipped: value.field("density_skipped")?.as_bool()?,
         skip_window: value.field("skip_window")?.as_bool()?,
-        energy: value.field("energy")?.as_f64()?,
     })
 }
 
@@ -268,7 +269,7 @@ impl ToJson for Checkpoint {
             (
                 "last_eval",
                 match &self.last_eval {
-                    Some(e) => eval_to_json(e),
+                    Some(e) => eval_to_json(e, self.engine.cached_energy),
                     None => Json::Null,
                 },
             ),
@@ -671,7 +672,6 @@ mod tests {
                 r_ratio: 0.001,
                 density_skipped: true,
                 skip_window: true,
-                energy: 5.0,
             }),
             engine: EngineState {
                 last_r: 0.001,

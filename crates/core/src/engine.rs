@@ -34,8 +34,16 @@ pub struct EvalResult {
     /// (`density_skipped` is false on the periodic refresh iterations
     /// *inside* an open window; telemetry reports window transitions.)
     pub skip_window: bool,
-    /// Electrostatic system energy of the last solve.
-    pub energy: f64,
+}
+
+/// The electrostatic energy of the field the engine serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Energy {
+    /// Known: restored from a checkpoint, or already computed.
+    Known(f64),
+    /// That of the last fresh solve, whose total map the density operator
+    /// still holds: computed from it when first read.
+    OfTotalMap,
 }
 
 /// Evaluates wirelength + density gradients with operator-level control.
@@ -54,7 +62,7 @@ pub struct GradientEngine {
     grad_x: Vec<f64>,
     grad_y: Vec<f64>,
     cached_overflow: f64,
-    cached_energy: f64,
+    energy: Energy,
     field_age: usize,
     has_field: bool,
     last_r: f64,
@@ -129,7 +137,7 @@ impl GradientEngine {
             grad_x: vec![0.0; n],
             grad_y: vec![0.0; n],
             cached_overflow: 1.0,
-            cached_energy: 0.0,
+            energy: Energy::Known(0.0),
             field_age: 0,
             has_field: false,
             last_r: 0.0,
@@ -168,22 +176,49 @@ impl GradientEngine {
         &self.density
     }
 
+    /// The electrostatic energy `0.5 sum(rho psi)` of the last solve.
+    ///
+    /// Iterations never read it, so a solve computes only the field; the
+    /// first read after a solve computes the energy from the total map the
+    /// density operator still holds, through the same solver passes, so it
+    /// is bit-identical to the energy an eager full solve returns. After a
+    /// resume it is the checkpointed value until the next solve.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlaceError::Ops`] on a spectral failure (an internal
+    /// invariant violation).
+    pub fn energy(&mut self) -> Result<f64, PlaceError> {
+        let e = match self.energy {
+            Energy::Known(e) => e,
+            Energy::OfTotalMap => self.density.energy()?,
+        };
+        self.energy = Energy::Known(e);
+        Ok(e)
+    }
+
     /// Snapshots the cross-iteration engine state for checkpointing: the
     /// §3.1.4 skip-window bookkeeping plus the cached field it serves
     /// gradients from. Resuming inside a skip window must replay the same
     /// cached field the interrupted run held, or the resumed trace would
     /// diverge from the uninterrupted one.
-    pub fn state(&self) -> EngineState {
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PlaceError::Ops`] if the energy cannot be computed
+    /// ([`Self::energy`]).
+    pub fn state(&mut self) -> Result<EngineState, PlaceError> {
+        let cached_energy = self.energy()?;
         let field = self.density.field();
-        EngineState {
+        Ok(EngineState {
             last_r: self.last_r,
             field_age: self.field_age,
             has_field: self.has_field,
             cached_overflow: self.cached_overflow,
-            cached_energy: self.cached_energy,
+            cached_energy,
             field_x: field.field_x.as_slice().to_vec(),
             field_y: field.field_y.as_slice().to_vec(),
-        }
+        })
     }
 
     /// Restores the cross-iteration state captured by [`Self::state`].
@@ -194,12 +229,12 @@ impl GradientEngine {
     /// match this engine's density grid.
     pub fn restore_state(&mut self, state: &EngineState) -> Result<(), PlaceError> {
         self.density
-            .restore_field(&state.field_x, &state.field_y, state.cached_energy)?;
+            .restore_field(&state.field_x, &state.field_y)?;
         self.last_r = state.last_r;
         self.field_age = state.field_age;
         self.has_field = state.has_field;
         self.cached_overflow = state.cached_overflow;
-        self.cached_energy = state.cached_energy;
+        self.energy = Energy::Known(state.cached_energy);
         Ok(())
     }
 
@@ -361,7 +396,7 @@ impl GradientEngine {
             if dreamplace || !ops.reduction {
                 device.synchronize();
             }
-            self.cached_energy = self.density.energy();
+            self.energy = Energy::OfTotalMap;
             self.field_age = 0;
             self.has_field = true;
 
@@ -405,19 +440,12 @@ impl GradientEngine {
             }
         }
 
-        // Unit-λ density gradient norm (CPU-side readback of the cached
-        // field; no kernel — folded into the gradient op's bookkeeping).
-        let density_grad_l1 = self.density.gradient_l1_norm(model);
-
         // --- Density gradient + preconditioner. ---
+        // One fused host pass computes the unit-λ density gradient norm,
+        // the density gradient and the preconditioning; the stream still
+        // charges the `density_gradient` and `precondition` kernels.
         if params.lambda > 0.0 {
-            self.density.accumulate_gradient(
-                device,
-                model,
-                params.lambda,
-                &mut self.grad_x,
-                &mut self.grad_y,
-            );
+            device.launch(DensityOp::gradient_kernel(model), || {});
         }
         if !ops.reduction {
             // Autograd accumulation of the two gradient sources is two
@@ -432,13 +460,10 @@ impl GradientEngine {
                 || {},
             );
         }
-        precond::apply(
-            device,
-            model,
-            params.lambda,
-            &mut self.grad_x,
-            &mut self.grad_y,
-        );
+        let density_grad_l1 = device.launch(precond::kernel(model), || {
+            self.density
+                .gradient_pass(model, params.lambda, &mut self.grad_x, &mut self.grad_y)
+        });
 
         if dreamplace {
             // PyTorch framework glue per iteration: parameter-group walks,
@@ -478,7 +503,6 @@ impl GradientEngine {
             r_ratio,
             density_skipped,
             skip_window,
-            energy: self.cached_energy,
         })
     }
 }

@@ -7,17 +7,21 @@
 //! Barzilai–Borwein rule `|Δv| / |Δg|`, which removes the need for an
 //! explicit Lipschitz constant.
 
+use std::ops::Range;
 use xplace_device::{Device, KernelInfo};
-use xplace_ops::PlacementModel;
+use xplace_ops::{clamp_center, PlacementModel};
 
 /// Nesterov optimizer state over the optimizable nodes (movable cells and
 /// fillers) of a [`PlacementModel`].
 ///
 /// The model's `x`/`y` arrays always hold the reference solution `v` — the
-/// point the gradient engine evaluates at.
+/// point the gradient engine evaluates at. The optimizer's own vectors are
+/// indexed by `k` over the optimizable nodes in index order: the movable
+/// cells, then the fillers.
 #[derive(Debug, Clone)]
 pub struct NesterovOptimizer {
-    idx: Vec<u32>,
+    /// The optimizable node ranges `[movable, filler]` of the model.
+    nodes: [Range<usize>; 2],
     u_x: Vec<f64>,
     u_y: Vec<f64>,
     prev_v_x: Vec<f64>,
@@ -36,9 +40,9 @@ impl NesterovOptimizer {
     /// step length (before BB prediction kicks in) and `max_disp` caps the
     /// per-iteration displacement of any node (a stability guard).
     pub fn new(model: &PlacementModel, initial_step: f64, max_disp: f64) -> Self {
-        let idx: Vec<u32> = model.optimizable_indices().map(|i| i as u32).collect();
-        let n = idx.len();
-        let gather = |src: &[f64]| -> Vec<f64> { idx.iter().map(|&i| src[i as usize]).collect() };
+        let nodes = optimizable_ranges(model);
+        let n = nodes[0].len() + nodes[1].len();
+        let gather = |src: &[f64]| -> Vec<f64> { nodes.iter().flat_map(|r| &src[r.clone()]).copied().collect() };
         NesterovOptimizer {
             u_x: gather(&model.x),
             u_y: gather(&model.y),
@@ -46,7 +50,7 @@ impl NesterovOptimizer {
             prev_v_y: vec![0.0; n],
             prev_g_x: vec![0.0; n],
             prev_g_y: vec![0.0; n],
-            idx,
+            nodes,
             a: 1.0,
             have_prev: false,
             initial_step,
@@ -57,7 +61,7 @@ impl NesterovOptimizer {
 
     /// Number of optimized scalars (2 per node).
     pub fn num_vars(&self) -> usize {
-        self.idx.len() * 2
+        self.u_x.len() * 2
     }
 
     /// The last step length used.
@@ -65,32 +69,50 @@ impl NesterovOptimizer {
         self.last_step
     }
 
-    /// Barzilai–Borwein step prediction from the stored previous
-    /// reference point and gradient.
+    /// The optimizable node ranges with the offset `k0` of each range's
+    /// first node in the optimizer's vectors.
+    fn segments(&self) -> [(usize, Range<usize>); 2] {
+        let [movable, filler] = self.nodes.clone();
+        [(0, movable.clone()), (movable.len(), filler)]
+    }
+
+    /// The step length: the Barzilai–Borwein prediction `|Δv| / |Δg|` from
+    /// the stored previous reference point and gradient (the initial step
+    /// before there is one), capped so no node moves more than `max_disp`.
+    ///
+    /// One pass sums `|Δv|²` and `|Δg|²` and finds `max |g|`, node by node
+    /// in index order, so the sums and the maximum are the ones separate
+    /// passes would produce.
     fn predict_step(&self, model: &PlacementModel, gx: &[f64], gy: &[f64]) -> f64 {
-        if !self.have_prev {
-            return self.initial_step;
+        let mut sums = [0.0; 3];
+        for (k0, r) in self.segments() {
+            let ks = k0..k0 + r.len();
+            sums = step_sums::run(
+                sums,
+                self.have_prev,
+                [&model.x[r.clone()], &model.y[r.clone()]],
+                [&self.prev_v_x[ks.clone()], &self.prev_v_y[ks.clone()]],
+                [&gx[r.clone()], &gy[r]],
+                [&self.prev_g_x[ks.clone()], &self.prev_g_y[ks]],
+            );
         }
-        let mut dv2 = 0.0;
-        let mut dg2 = 0.0;
-        for (k, &i) in self.idx.iter().enumerate() {
-            let i = i as usize;
-            let dvx = model.x[i] - self.prev_v_x[k];
-            let dvy = model.y[i] - self.prev_v_y[k];
-            let dgx = gx[i] - self.prev_g_x[k];
-            let dgy = gy[i] - self.prev_g_y[k];
-            dv2 += dvx * dvx + dvy * dvy;
-            dg2 += dgx * dgx + dgy * dgy;
-        }
-        if dg2 <= 0.0 || !dv2.is_finite() || !dg2.is_finite() {
+        let [dv2, dg2, max_g] = sums;
+        let mut step = if !self.have_prev || dg2 <= 0.0 || !dv2.is_finite() || !dg2.is_finite() {
             self.initial_step
         } else {
             (dv2 / dg2).sqrt()
+        };
+        if max_g * step > self.max_disp {
+            step = self.max_disp / max_g;
         }
+        step
     }
 
     /// Performs one Nesterov step given the (preconditioned) gradient
-    /// evaluated at the current reference solution held in `model`.
+    /// evaluated at the current reference solution held in `model`, then
+    /// clamps the moved nodes into the region
+    /// ([`PlacementModel::clamp_to_region`]'s clamp, applied in the same
+    /// pass).
     ///
     /// With `fused = true` (operator reduction on) the whole update is one
     /// in-place kernel launch; with `fused = false` it is issued as the
@@ -108,19 +130,10 @@ impl NesterovOptimizer {
         fused: bool,
     ) {
         assert!(gx.len() >= model.num_nodes() && gy.len() >= model.num_nodes());
-        let mut step = self.predict_step(model, gx, gy);
-        // Displacement cap.
-        let mut max_g: f64 = 0.0;
-        for &i in &self.idx {
-            let i = i as usize;
-            max_g = max_g.max(gx[i].abs()).max(gy[i].abs());
-        }
-        if max_g * step > self.max_disp {
-            step = self.max_disp / max_g;
-        }
+        let step = self.predict_step(model, gx, gy);
         self.last_step = step;
 
-        let n = self.idx.len() as u64;
+        let n = self.u_x.len() as u64;
         if !fused {
             // PyTorch-style: each tensor op is its own out-of-place kernel.
             for name in [
@@ -137,27 +150,25 @@ impl NesterovOptimizer {
         let kernel = KernelInfo::new(kernel_name).bytes(n * 96).flops(n * 12);
         let a_new = 0.5 * (1.0 + (4.0 * self.a * self.a + 1.0).sqrt());
         let coef = (self.a - 1.0) / a_new;
+        let region = model.region();
         device.launch(kernel, || {
-            for (k, &i) in self.idx.iter().enumerate() {
-                let i = i as usize;
-                // Save the reference point and gradient for BB.
-                self.prev_v_x[k] = model.x[i];
-                self.prev_v_y[k] = model.y[i];
-                self.prev_g_x[k] = gx[i];
-                self.prev_g_y[k] = gy[i];
-                // u_{k+1} = v_k - step * g(v_k)
-                let ux_new = model.x[i] - step * gx[i];
-                let uy_new = model.y[i] - step * gy[i];
-                // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
-                model.x[i] = ux_new + coef * (ux_new - self.u_x[k]);
-                model.y[i] = uy_new + coef * (uy_new - self.u_y[k]);
-                self.u_x[k] = ux_new;
-                self.u_y[k] = uy_new;
+            for (k0, r) in self.segments() {
+                let ks = k0..k0 + r.len();
+                nesterov_update::run(
+                    step,
+                    coef,
+                    region,
+                    [&mut model.x[r.clone()], &mut model.y[r.clone()]],
+                    [&model.w[r.clone()], &model.h[r.clone()]],
+                    [&gx[r.clone()], &gy[r]],
+                    [&mut self.u_x[ks.clone()], &mut self.u_y[ks.clone()]],
+                    [&mut self.prev_v_x[ks.clone()], &mut self.prev_v_y[ks.clone()]],
+                    [&mut self.prev_g_x[ks.clone()], &mut self.prev_g_y[ks]],
+                );
             }
         });
         self.a = a_new;
         self.have_prev = true;
-        model.clamp_to_region();
     }
 
     /// Copies the main solution `u` into `snap` (for best-solution
@@ -180,9 +191,9 @@ impl NesterovOptimizer {
         self.u_y.copy_from_slice(uy);
     }
 
-    /// Snapshots the full optimizer state for checkpointing. The gather
-    /// index list is *not* included: it is a pure function of the model
-    /// and is rebuilt on restore.
+    /// Snapshots the full optimizer state for checkpointing. The node
+    /// ranges are *not* included: they are a pure function of the model
+    /// and are rebuilt on restore.
     pub fn state(&self) -> OptimizerState {
         OptimizerState {
             u_x: self.u_x.clone(),
@@ -200,15 +211,15 @@ impl NesterovOptimizer {
     }
 
     /// Rebuilds an optimizer from a checkpointed [`OptimizerState`],
-    /// regathering the index list from `model`.
+    /// taking the node ranges from `model`.
     ///
     /// # Errors
     ///
     /// Returns a message if the snapshot's vector lengths do not match
     /// the model's optimizable-node count.
     pub fn from_state(model: &PlacementModel, state: OptimizerState) -> Result<Self, String> {
-        let idx: Vec<u32> = model.optimizable_indices().map(|i| i as u32).collect();
-        let n = idx.len();
+        let nodes = optimizable_ranges(model);
+        let n = nodes[0].len() + nodes[1].len();
         for (name, v) in [
             ("u_x", &state.u_x),
             ("u_y", &state.u_y),
@@ -225,7 +236,7 @@ impl NesterovOptimizer {
             }
         }
         Ok(NesterovOptimizer {
-            idx,
+            nodes,
             u_x: state.u_x,
             u_y: state.u_y,
             prev_v_x: state.prev_v_x,
@@ -244,13 +255,99 @@ impl NesterovOptimizer {
     /// model — call once after the final iteration so the reported
     /// placement is the converged solution.
     pub fn write_u(&self, model: &mut PlacementModel) {
-        for (k, &i) in self.idx.iter().enumerate() {
-            let i = i as usize;
-            model.x[i] = self.u_x[k];
-            model.y[i] = self.u_y[k];
+        for (k0, r) in self.segments() {
+            let ks = k0..k0 + r.len();
+            model.x[r.clone()].copy_from_slice(&self.u_x[ks.clone()]);
+            model.y[r].copy_from_slice(&self.u_y[ks]);
         }
         model.clamp_to_region();
     }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Adds one node segment's `|Δv|²`, `|Δg|²` (when `have_prev`) and
+    /// `max |g|` to `sums = [dv2, dg2, max_g]`, node by node. `v`, `g` are
+    /// the segment's `[x, y]` reference point and gradient, `prev_v`,
+    /// `prev_g` the stored previous ones.
+    fn step_sums(
+        sums: [f64; 3],
+        have_prev: bool,
+        v: [&[f64]; 2],
+        prev_v: [&[f64]; 2],
+        g: [&[f64]; 2],
+        prev_g: [&[f64]; 2],
+    ) -> [f64; 3] {
+        let [mut dv2, mut dg2, mut max_g] = sums;
+        let ([x, y], [gx, gy]) = (v, g);
+        if have_prev {
+            let ([pvx, pvy], [pgx, pgy]) = (prev_v, prev_g);
+            let n = x.len();
+            let (y, pvx, pvy, gx, gy, pgx, pgy) =
+                (&y[..n], &pvx[..n], &pvy[..n], &gx[..n], &gy[..n], &pgx[..n], &pgy[..n]);
+            for j in 0..n {
+                let dvx = x[j] - pvx[j];
+                let dvy = y[j] - pvy[j];
+                let dgx = gx[j] - pgx[j];
+                let dgy = gy[j] - pgy[j];
+                dv2 += dvx * dvx + dvy * dvy;
+                dg2 += dgx * dgx + dgy * dgy;
+                max_g = max_g.max(gx[j].abs()).max(gy[j].abs());
+            }
+        } else {
+            for (gx, gy) in gx.iter().zip(gy) {
+                max_g = max_g.max(gx.abs()).max(gy.abs());
+            }
+        }
+        [dv2, dg2, max_g]
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// The Nesterov update of one node segment, clamped into `region` in
+    /// the same pass: saves the reference point `v` and gradient `g` into
+    /// `prev_v`, `prev_g`, steps the main solution `u` and extrapolates the
+    /// new reference point into `v`. Each pair is `[x, y]`; `size` is the
+    /// nodes' `[w, h]`.
+    fn nesterov_update(
+        step: f64,
+        coef: f64,
+        region: xplace_db::Rect,
+        v: [&mut [f64]; 2],
+        size: [&[f64]; 2],
+        g: [&[f64]; 2],
+        u: [&mut [f64]; 2],
+        prev_v: [&mut [f64]; 2],
+        prev_g: [&mut [f64]; 2],
+    ) {
+        let ([x, y], [w, h], [gx, gy]) = (v, size, g);
+        let ([ux, uy], [pvx, pvy], [pgx, pgy]) = (u, prev_v, prev_g);
+        let n = x.len();
+        let (y, w, h, gx, gy) = (&mut y[..n], &w[..n], &h[..n], &gx[..n], &gy[..n]);
+        let (ux, uy, pvx, pvy) = (&mut ux[..n], &mut uy[..n], &mut pvx[..n], &mut pvy[..n]);
+        let (pgx, pgy) = (&mut pgx[..n], &mut pgy[..n]);
+        for j in 0..n {
+            // Save the reference point and gradient for BB.
+            pvx[j] = x[j];
+            pvy[j] = y[j];
+            pgx[j] = gx[j];
+            pgy[j] = gy[j];
+            // u_{k+1} = v_k - step * g(v_k)
+            let ux_new = x[j] - step * gx[j];
+            let uy_new = y[j] - step * gy[j];
+            // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
+            let vx = ux_new + coef * (ux_new - ux[j]);
+            let vy = uy_new + coef * (uy_new - uy[j]);
+            (x[j], y[j]) = clamp_center(region, w[j], h[j], vx, vy);
+            ux[j] = ux_new;
+            uy[j] = uy_new;
+        }
+    }
+}
+
+/// The optimizable node ranges `[movable, filler]` of `model`.
+fn optimizable_ranges(model: &PlacementModel) -> [Range<usize>; 2] {
+    let r = model.ranges();
+    [r.movable, r.filler]
 }
 
 /// A plain-data snapshot of a [`NesterovOptimizer`] used by GP

@@ -420,13 +420,13 @@ impl GlobalPlacer {
                         cur_stage,
                         skip_window_open,
                         last_eval,
-                        &engine,
+                        &mut engine,
                         {
                             let mut p = profile_base;
                             accumulate_profile(&mut p, device.profile());
                             p
                         },
-                    );
+                    )?;
                     store.save(iter, &snapshot.render()).map_err(|e| {
                         PlaceError::Checkpoint(format!("save at iteration {iter}: {e}"))
                     })?;
@@ -635,7 +635,8 @@ impl GlobalPlacer {
     }
 
     /// Assembles the [`Checkpoint`] snapshot of the loop state at the top
-    /// of iteration `iteration`.
+    /// of iteration `iteration` (computing the engine's energy if this is
+    /// its first read since the last solve).
     #[allow(clippy::too_many_arguments)]
     fn snapshot(
         &self,
@@ -653,10 +654,10 @@ impl GlobalPlacer {
         stage: Stage,
         skip_window_open: bool,
         last_eval: Option<crate::EvalResult>,
-        engine: &GradientEngine,
+        engine: &mut GradientEngine,
         profile: ProfileSnapshot,
-    ) -> Checkpoint {
-        Checkpoint {
+    ) -> Result<Checkpoint, PlaceError> {
+        Ok(Checkpoint {
             design: design.name().to_string(),
             cells: design.netlist().num_cells(),
             movable: design.netlist().num_movable(),
@@ -675,9 +676,9 @@ impl GlobalPlacer {
             stage,
             skip_window_open,
             last_eval,
-            engine: engine.state(),
+            engine: engine.state()?,
             profile,
-        }
+        })
     }
 }
 

@@ -62,7 +62,6 @@ fn random_checkpoint(seed: u64) -> Checkpoint {
             r_ratio: rng.f64() * 0.01,
             density_skipped: rng.next_u64() % 2 == 0,
             skip_window: rng.next_u64() % 2 == 0,
-            energy: rng.f64() * 1e4,
         })
     } else {
         None

@@ -13,7 +13,10 @@
 //! from the plan), the same even extension and bit-reversed packing, the
 //! same butterflies and the same recombination formulas, operand for
 //! operand. Rust never contracts `a * b + c` into a fused multiply-add, so
-//! the batched results are bit-identical to the per-row plan.
+//! the batched results are bit-identical to the per-row plan. The methods
+//! are `#[inline(always)]` so each dispatched tile pass of the solver
+//! compiles them into both its portable and its AVX2 build
+//! ([`xplace_parallel::avx2_dispatch!`]).
 
 use crate::{Complex, DctPlan};
 
@@ -111,11 +114,17 @@ impl BatchDct {
         }
     }
 
+    /// The transform length `N`.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     /// Loads `w` real signals into the tile for analysis: the even
     /// extension `y[m] = x[m]`, `y[2N-1-m] = x[m]` is packed as
     /// `z[j] = y[2j] + i y[2j+1]` and written straight to the bit-reversed
     /// row, which is the permutation `FftPlan::forward` applies first.
     /// `src(m, c)` is sample `m` of column `c`.
+    #[inline(always)]
     pub(crate) fn pack_forward(
         &self,
         re: &mut [f64],
@@ -138,6 +147,7 @@ impl BatchDct {
     /// DCT-II of every packed column: the complex FFT, then the real-FFT
     /// split and the `e^{-i pi k / 2N}` phase, leaving
     /// `C[k] = sum_n x[n] cos(pi k (2n+1) / 2N)` in row `k` of `re`.
+    #[inline(always)]
     pub(crate) fn analyze(&self, re: &mut [f64], im: &mut [f64], w: usize) {
         self.butterflies(re, im, w, false);
         let n = self.len;
@@ -169,6 +179,7 @@ impl BatchDct {
     /// `coef(k, c)` is coefficient `k` of column `c`. A sine synthesis
     /// reads its coefficients mirrored (`c'[k] = c[N-k]`, `c'[0] = 0`),
     /// the identity `DctPlan::sine_synthesis` builds its spectrum from.
+    #[inline(always)]
     pub(crate) fn load_coeffs(
         &self,
         re: &mut [f64],
@@ -194,6 +205,7 @@ impl BatchDct {
     /// place, bit-reverses and runs the inverse butterflies. Afterwards row
     /// `j < N/2` (row 0 when `N = 1`) holds `z[j]`, the samples
     /// `ext[2j] = re`, `ext[2j+1] = im` of the unscaled inverse.
+    #[inline(always)]
     pub(crate) fn synthesize(&self, re: &mut [f64], im: &mut [f64], w: usize) {
         let n = self.len;
         // k = 0: Z[0] = (c0, 0), Z[N] = 0, packed z[0] = (x0 + xn, x0 - xn).
@@ -238,6 +250,7 @@ impl BatchDct {
     /// `FftPlan::butterflies` runs them; `inverse` conjugates the twiddles.
     /// The inverse skips the `a - b` half of the last stage: synthesis
     /// reads only rows `j < N/2`, and no other row depends on it.
+    #[inline(always)]
     fn butterflies(&self, re: &mut [f64], im: &mut [f64], w: usize, inverse: bool) {
         let n = self.len;
         let mut base = 0;
@@ -285,6 +298,7 @@ impl BatchDct {
 
     /// Writes analysis results, one output row per column:
     /// `out[c * N + k] = f(k, c, C[k])`.
+    #[inline(always)]
     pub(crate) fn store_analysis(
         &self,
         re: &[f64],
@@ -302,6 +316,7 @@ impl BatchDct {
 
     /// Writes cosine-synthesis results, one output row per column:
     /// `out[c * N + n] = 0.5 * (ext[n] + c0(c))`.
+    #[inline(always)]
     pub(crate) fn store_cosine(
         &self,
         re: &[f64],
@@ -324,6 +339,7 @@ impl BatchDct {
 
     /// Writes sine-synthesis results, one output row per column:
     /// `out[c * N + 2j] = 0.5 ext[2j]`, `out[c * N + 2j + 1] = -0.5 ext[2j+1]`.
+    #[inline(always)]
     pub(crate) fn store_sine(&self, re: &[f64], im: &[f64], w: usize, out: &mut [f64]) {
         let n = self.len;
         for (c, row) in out.chunks_exact_mut(n).enumerate() {

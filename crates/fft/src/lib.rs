@@ -54,7 +54,7 @@ pub use dct::{
 pub use error::FftError;
 pub use fft::{FftPlan, RealFftPlan};
 pub use grid::Grid2;
-pub use spectral::{ElectrostaticSolver, FieldSolution};
+pub use spectral::{ElectrostaticSolver, FieldSolution, SolveOutputs};
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 ///

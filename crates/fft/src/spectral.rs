@@ -52,12 +52,42 @@ impl FieldSolution {
     }
 }
 
+/// Which maps one solve writes into its [`FieldSolution`].
+///
+/// Every selection runs the same analysis and the same per-stream
+/// synthesis passes; a map that is not selected is neither transformed nor
+/// written, so a partial solve leaves the other maps as they were and
+/// writes the selected ones bit-identically to [`SolveOutputs::All`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveOutputs {
+    /// Potential, both field components and the energy (8 transform
+    /// streams: 2 analysis, 3 x-synthesis, 3 y-synthesis).
+    All,
+    /// `Ex` and `Ey` only (6 streams): what a placement iteration reads.
+    Field,
+    /// The potential and the energy only (4 streams).
+    Potential,
+}
+
+impl SolveOutputs {
+    #[inline(always)]
+    fn potential(self) -> bool {
+        self != SolveOutputs::Field
+    }
+
+    #[inline(always)]
+    fn field(self) -> bool {
+        self != SolveOutputs::Potential
+    }
+}
+
 /// Spectral Poisson solver for the placement density system.
 ///
 /// A solve is four batched transform passes ([`crate::batch`]): DCT-II
 /// analysis along y, then along x (scaled into `psi` coefficients), then
 /// the potential/`Ex`/`Ey` syntheses along x, then along y straight into
-/// the output grids. Each pass transforms tiles of grid columns with the
+/// the output grids ([`SolveOutputs`] selects which of the three maps are
+/// synthesized). Each pass transforms tiles of grid columns with the
 /// batch axis contiguous; the transposes between passes are folded into
 /// the pack and store loops. All scratch lives in five grid-sized buffers
 /// owned by the solver, so [`ElectrostaticSolver::solve_into`] allocates
@@ -243,14 +273,33 @@ impl ElectrostaticSolver {
     /// Returns [`FftError::GridMismatch`] if `density` or any buffer grid
     /// does not match the solver dimensions.
     pub fn solve_into(&mut self, density: &Grid2, out: &mut FieldSolution) -> Result<(), FftError> {
+        self.solve_outputs(density, out, SolveOutputs::All)
+    }
+
+    /// [`ElectrostaticSolver::solve_into`] restricted to the maps `outputs`
+    /// selects; the energy is computed with the potential. The maps not
+    /// selected keep their previous contents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::GridMismatch`] if `density` or any buffer grid
+    /// does not match the solver dimensions.
+    pub fn solve_outputs(
+        &mut self,
+        density: &Grid2,
+        out: &mut FieldSolution,
+        outputs: SolveOutputs,
+    ) -> Result<(), FftError> {
         self.check_grid(density)?;
         self.check_grid(&out.potential)?;
         self.check_grid(&out.field_x)?;
         self.check_grid(&out.field_y)?;
 
         self.analyze(density);
-        self.synthesize(out);
-
+        self.synthesize(out, outputs);
+        if !outputs.potential() {
+            return Ok(());
+        }
         out.energy = 0.5
             * density
                 .as_slice()
@@ -286,16 +335,10 @@ impl ElectrostaticSolver {
             &mut self.re,
             &mut self.im,
             [&mut self.sbuf_pot],
-            |t, re, im, [ybuf]| {
-                let src = &rho[t * w * ny..(t + 1) * w * ny];
-                plan_y.pack_forward(re, im, w, |m, c| src[c * ny + m]);
-                plan_y.analyze(re, im, w);
-                plan_y.store_analysis(re, w, ybuf, |_, _, v| v);
-            },
+            |t, re, im, [ybuf]| analyze_y::run(plan_y, rho, t, w, re, im, ybuf),
         );
         // Along x: tiles of y-frequencies v; output rows v of `sbuf_ex`.
         let w = TILE.min(ny);
-        let norm = 4.0 / (nx as f64 * ny as f64);
         let ybuf = &self.sbuf_pot;
         run_tiles(
             self.threads,
@@ -303,41 +346,20 @@ impl ElectrostaticSolver {
             &mut self.re,
             &mut self.im,
             [&mut self.sbuf_ex],
-            |t, re, im, [coeffs]| {
-                let v0 = t * w;
-                plan_x.pack_forward(re, im, w, |m, c| ybuf[m * ny + v0 + c]);
-                plan_x.analyze(re, im, w);
-                plan_x.store_analysis(re, w, coeffs, |u, c, a| {
-                    let v = v0 + c;
-                    let mut beta = norm;
-                    if u == 0 {
-                        beta *= 0.5;
-                    }
-                    if v == 0 {
-                        beta *= 0.5;
-                    }
-                    let a = a * beta;
-                    let (wu, wv) = (wx[u], wy[v]);
-                    let wv2 = wv * wv;
-                    if wv2 == 0.0 && u == 0 {
-                        0.0
-                    } else {
-                        a / (wu * wu + wv2)
-                    }
-                });
-            },
+            |t, re, im, [coeffs]| analyze_x::run(plan_x, wx, wy, ybuf, t, w, re, im, coeffs),
         );
     }
 
-    /// Synthesis of all three field maps out of the scaled coefficients in
+    /// Synthesis of the selected maps out of the scaled coefficients in
     /// `sbuf_ex`.
     ///
     /// Along x, each tile of y-frequencies runs the potential (cosine) and
     /// `Ey` (cosine) transforms into `sbuf_pot`/`sbuf_ey`, then `Ex` (sine)
     /// last, in place over its own coefficient rows, which it has finished
     /// reading by then. Along y, each tile of grid rows runs the cosine,
-    /// cosine and sine transforms straight into the output grids.
-    fn synthesize(&mut self, out: &mut FieldSolution) {
+    /// cosine and sine transforms straight into the output grids. A stream
+    /// that is not selected is skipped in both passes.
+    fn synthesize(&mut self, out: &mut FieldSolution, outputs: SolveOutputs) {
         let (nx, ny) = (self.nx, self.ny);
         let (plan_x, plan_y, wx, wy) = (&self.plan_x, &self.plan_y, &self.wx, &self.wy);
         let w = TILE.min(ny);
@@ -348,16 +370,7 @@ impl ElectrostaticSolver {
             &mut self.im,
             [&mut self.sbuf_pot, &mut self.sbuf_ey, &mut self.sbuf_ex],
             |t, re, im, [pot, ey, s]| {
-                let wv = &wy[t * w..(t + 1) * w];
-                plan_x.load_coeffs(re, w, false, |u, c| s[c * nx + u]);
-                plan_x.synthesize(re, im, w);
-                plan_x.store_cosine(re, im, w, pot, |c| s[c * nx]);
-                plan_x.load_coeffs(re, w, false, |u, c| s[c * nx + u] * wv[c]);
-                plan_x.synthesize(re, im, w);
-                plan_x.store_cosine(re, im, w, ey, |c| s[c * nx] * wv[c]);
-                plan_x.load_coeffs(re, w, true, |u, c| s[c * nx + u] * wx[u]);
-                plan_x.synthesize(re, im, w);
-                plan_x.store_sine(re, im, w, s);
+                synthesize_x::run(plan_x, wx, wy, outputs, t, w, re, im, pot, ey, s)
             },
         );
         let w = TILE.min(nx);
@@ -373,18 +386,142 @@ impl ElectrostaticSolver {
                 out.field_y.as_mut_slice(),
             ],
             |t, re, im, [d_pot, d_ex, d_ey]| {
-                let ix0 = t * w;
-                plan_y.load_coeffs(re, w, false, |v, c| pot[v * nx + ix0 + c]);
-                plan_y.synthesize(re, im, w);
-                plan_y.store_cosine(re, im, w, d_pot, |c| pot[ix0 + c]);
-                plan_y.load_coeffs(re, w, false, |v, c| ex[v * nx + ix0 + c]);
-                plan_y.synthesize(re, im, w);
-                plan_y.store_cosine(re, im, w, d_ex, |c| ex[ix0 + c]);
-                plan_y.load_coeffs(re, w, true, |v, c| ey[v * nx + ix0 + c]);
-                plan_y.synthesize(re, im, w);
-                plan_y.store_sine(re, im, w, d_ey);
+                let bufs = [pot.as_slice(), ex, ey];
+                synthesize_y::run(plan_y, bufs, outputs, t, w, re, im, d_pot, d_ex, d_ey)
             },
         );
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Analysis along y of tile `t`: the `w` grid rows `t * w..` of `rho`
+    /// into rows of `ybuf`.
+    fn analyze_y(
+        plan: &BatchDct,
+        rho: &[f64],
+        t: usize,
+        w: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+        ybuf: &mut [f64],
+    ) {
+        let ny = plan.len();
+        let src = &rho[t * w * ny..(t + 1) * w * ny];
+        plan.pack_forward(re, im, w, |m, c| src[c * ny + m]);
+        plan.analyze(re, im, w);
+        plan.store_analysis(re, w, ybuf, |_, _, v| v);
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Analysis along x of tile `t`: the `w` y-frequencies `t * w..` of the
+    /// y-analysis `ybuf` into rows of `coeffs`, normalized and divided by
+    /// `w_u^2 + w_v^2` (the `(0,0)` mode zero).
+    fn analyze_x(
+        plan: &BatchDct,
+        wx: &[f64],
+        wy: &[f64],
+        ybuf: &[f64],
+        t: usize,
+        w: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+        coeffs: &mut [f64],
+    ) {
+        let (nx, ny) = (wx.len(), wy.len());
+        let norm = 4.0 / (nx as f64 * ny as f64);
+        let v0 = t * w;
+        plan.pack_forward(re, im, w, |m, c| ybuf[m * ny + v0 + c]);
+        plan.analyze(re, im, w);
+        plan.store_analysis(re, w, coeffs, |u, c, a| {
+            let v = v0 + c;
+            let mut beta = norm;
+            if u == 0 {
+                beta *= 0.5;
+            }
+            if v == 0 {
+                beta *= 0.5;
+            }
+            let a = a * beta;
+            let (wu, wv) = (wx[u], wy[v]);
+            let wv2 = wv * wv;
+            if wv2 == 0.0 && u == 0 {
+                0.0
+            } else {
+                a / (wu * wu + wv2)
+            }
+        });
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Synthesis along x of tile `t` (`w` y-frequencies): the potential
+    /// (cosine) into `pot`, `Ey` (cosine) into `ey`, then `Ex` (sine) in
+    /// place over the scaled coefficients `s`, each stream when `outputs`
+    /// selects it.
+    fn synthesize_x(
+        plan: &BatchDct,
+        wx: &[f64],
+        wy: &[f64],
+        outputs: SolveOutputs,
+        t: usize,
+        w: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+        pot: &mut [f64],
+        ey: &mut [f64],
+        s: &mut [f64],
+    ) {
+        let nx = wx.len();
+        let wv = &wy[t * w..(t + 1) * w];
+        if outputs.potential() {
+            plan.load_coeffs(re, w, false, |u, c| s[c * nx + u]);
+            plan.synthesize(re, im, w);
+            plan.store_cosine(re, im, w, pot, |c| s[c * nx]);
+        }
+        if outputs.field() {
+            plan.load_coeffs(re, w, false, |u, c| s[c * nx + u] * wv[c]);
+            plan.synthesize(re, im, w);
+            plan.store_cosine(re, im, w, ey, |c| s[c * nx] * wv[c]);
+            plan.load_coeffs(re, w, true, |u, c| s[c * nx + u] * wx[u]);
+            plan.synthesize(re, im, w);
+            plan.store_sine(re, im, w, s);
+        }
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Synthesis along y of tile `t` (`w` grid rows): the x-synthesized
+    /// `[potential, Ex, Ey]` rows of `bufs` (cosine, cosine, sine) straight
+    /// into the output grids, each stream when `outputs` selects it.
+    fn synthesize_y(
+        plan: &BatchDct,
+        bufs: [&[f64]; 3],
+        outputs: SolveOutputs,
+        t: usize,
+        w: usize,
+        re: &mut [f64],
+        im: &mut [f64],
+        d_pot: &mut [f64],
+        d_ex: &mut [f64],
+        d_ey: &mut [f64],
+    ) {
+        let [pot, ex, ey] = bufs;
+        let nx = pot.len() / plan.len();
+        let ix0 = t * w;
+        if outputs.potential() {
+            plan.load_coeffs(re, w, false, |v, c| pot[v * nx + ix0 + c]);
+            plan.synthesize(re, im, w);
+            plan.store_cosine(re, im, w, d_pot, |c| pot[ix0 + c]);
+        }
+        if outputs.field() {
+            plan.load_coeffs(re, w, false, |v, c| ex[v * nx + ix0 + c]);
+            plan.synthesize(re, im, w);
+            plan.store_cosine(re, im, w, d_ex, |c| ex[ix0 + c]);
+            plan.load_coeffs(re, w, true, |v, c| ey[v * nx + ix0 + c]);
+            plan.synthesize(re, im, w);
+            plan.store_sine(re, im, w, d_ey);
+        }
     }
 }
 
@@ -572,6 +709,35 @@ mod tests {
         assert!(fresh.field_x.max_abs_diff(&reused.field_x) < 1e-12);
         assert!(fresh.field_y.max_abs_diff(&reused.field_y) < 1e-12);
         assert!((fresh.energy - reused.energy).abs() < 1e-12);
+    }
+
+    #[test]
+    fn partial_solves_write_their_maps_bitwise_and_leave_the_rest() {
+        let bits = |g: &Grid2| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (nx, ny) in [(1, 1), (2, 8), (32, 16), (64, 64)] {
+            let mut solver = ElectrostaticSolver::new(nx, ny).unwrap();
+            let density = Grid2::from_fn(nx, ny, |ix, iy| ((ix * 7 + iy * 3) % 5) as f64 - 1.5);
+            let all = solver.solve(&density).unwrap();
+            let mut field = FieldSolution::new(nx, ny);
+            field.potential.fill(9.0);
+            field.energy = 9.0;
+            solver
+                .solve_outputs(&density, &mut field, SolveOutputs::Field)
+                .unwrap();
+            assert_eq!(bits(&field.field_x), bits(&all.field_x));
+            assert_eq!(bits(&field.field_y), bits(&all.field_y));
+            assert!(field.potential.as_slice().iter().all(|&v| v == 9.0));
+            assert_eq!(field.energy, 9.0);
+            let mut pot = FieldSolution::new(nx, ny);
+            pot.field_x.fill(9.0);
+            solver
+                .solve_outputs(&density, &mut pot, SolveOutputs::Potential)
+                .unwrap();
+            assert_eq!(bits(&pot.potential), bits(&all.potential));
+            assert_eq!(pot.energy.to_bits(), all.energy.to_bits());
+            assert!(pot.field_x.as_slice().iter().all(|&v| v == 9.0));
+            assert!(pot.field_y.as_slice().iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]

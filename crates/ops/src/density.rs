@@ -15,7 +15,7 @@
 
 use crate::{OpsError, PlacementModel};
 use xplace_device::{Device, KernelInfo};
-use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2};
+use xplace_fft::{ElectrostaticSolver, FieldSolution, Grid2, SolveOutputs};
 
 const SQRT2: f64 = std::f64::consts::SQRT_2;
 
@@ -63,15 +63,14 @@ impl Binning {
         }
     }
 
-    /// Node `i`'s charge rectangle `(lx, ux, ly, uy)` and its charge scale.
+    /// Node `i`'s charge footprint `[we / 2, he / 2, scale]`.
     ///
     /// ePlace cell smoothing for movable cells and fillers: inflate to at
     /// least sqrt(2) x bin size, scale the charge so area is conserved.
     /// Fixed macros keep their footprint but contribute exactly the target
     /// density (DREAMPlace's convention) — otherwise every macro bin sits at
     /// density 1 > D_t and creates an irreducible overflow floor.
-    #[inline]
-    fn footprint(&self, model: &PlacementModel, i: usize) -> (f64, f64, f64, f64, f64) {
+    fn footprint(&self, model: &PlacementModel, i: usize) -> [f64; 3] {
         let (w, h) = (model.w[i], model.h[i]);
         let smoothed = (i >= self.smooth_lo && i < self.smooth_hi) || i >= self.filler_start;
         let (we, he, scale) = if smoothed {
@@ -81,15 +80,23 @@ impl Binning {
         } else {
             (w, h, self.target)
         };
-        let lx = model.x[i] - we * 0.5;
-        let ux = model.x[i] + we * 0.5;
-        let ly = model.y[i] - he * 0.5;
-        let uy = model.y[i] + he * 0.5;
+        [we * 0.5, he * 0.5, scale]
+    }
+
+    /// Node `i`'s charge rectangle `(lx, ux, ly, uy)` and its charge scale,
+    /// from its cached [`Binning::footprint`].
+    #[inline(always)]
+    fn charge(model: &PlacementModel, i: usize, fp: [f64; 3]) -> (f64, f64, f64, f64, f64) {
+        let [half_w, half_h, scale] = fp;
+        let lx = model.x[i] - half_w;
+        let ux = model.x[i] + half_w;
+        let ly = model.y[i] - half_h;
+        let uy = model.y[i] + half_h;
         (lx, ux, ly, uy, scale)
     }
 
     /// The bin ranges `(bx0..bx1, by0..by1)` a rectangle may touch.
-    #[inline]
+    #[inline(always)]
     fn bins(&self, lx: f64, ux: f64, ly: f64, uy: f64) -> (usize, usize, usize, usize) {
         let r = self.region;
         let bx0 = (((lx - r.lx) / self.bin_w).floor().max(0.0)) as usize;
@@ -106,17 +113,19 @@ impl Binning {
     /// map row. Each bin still receives `ox * oy * scale * inv_bin_area`,
     /// evaluated in that order, so the map is bit-identical to evaluating
     /// both overlaps per bin.
+    #[inline(always)]
     fn accumulate_node(
         &self,
         model: &PlacementModel,
         i: usize,
+        fp: [f64; 3],
         oy: &mut Vec<f64>,
         map: &mut Grid2,
     ) {
         if model.w[i] <= 0.0 || model.h[i] <= 0.0 {
             return; // terminals
         }
-        let (lx, ux, ly, uy, scale) = self.footprint(model, i);
+        let (lx, ux, ly, uy, scale) = Self::charge(model, i, fp);
         let (bx0, bx1, by0, by1) = self.bins(lx, ux, ly, uy);
         if bx0 >= bx1 || by0 >= by1 {
             return;
@@ -137,6 +146,23 @@ impl Binning {
                     *bin += ox * oy * scale * self.inv_bin_area;
                 }
             }
+        }
+    }
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// Accumulates the nodes `nodes` into `map`
+    /// ([`Binning::accumulate_node`], `footprints` indexed by node).
+    fn accumulate_nodes(
+        binning: &Binning,
+        model: &PlacementModel,
+        nodes: std::ops::Range<usize>,
+        footprints: &[[f64; 3]],
+        oy: &mut Vec<f64>,
+        map: &mut Grid2,
+    ) {
+        for i in nodes {
+            binning.accumulate_node(model, i, footprints[i], oy, map);
         }
     }
 }
@@ -169,6 +195,9 @@ pub struct DensityOp {
     blocks: Vec<(Grid2, Vec<f64>)>,
     /// The serial path's y-overlap buffer.
     oy: Vec<f64>,
+    /// Every node's [`Binning::footprint`]: node sizes and the bin grid
+    /// are fixed for the model's lifetime, so they are computed once.
+    footprints: Vec<[f64; 3]>,
 }
 
 /// Which node classes an accumulation pass covers.
@@ -188,6 +217,7 @@ impl DensityOp {
     /// not supported by the spectral solver.
     pub fn new(model: &PlacementModel) -> Result<Self, OpsError> {
         let (nx, ny) = model.grid_dims();
+        let binning = Binning::new(model, nx, ny);
         Ok(DensityOp {
             solver: ElectrostaticSolver::new(nx, ny)?,
             solution: FieldSolution::new(nx, ny),
@@ -200,6 +230,9 @@ impl DensityOp {
             node_block: NODE_BLOCK,
             blocks: Vec::new(),
             oy: Vec::new(),
+            footprints: (0..model.num_nodes())
+                .map(|i| binning.footprint(model, i))
+                .collect(),
         })
     }
 
@@ -225,26 +258,23 @@ impl DensityOp {
         (self.nx, self.ny)
     }
 
-    /// The cached field solution of the last [`DensityOp::solve_field`].
+    /// The cached field solution of the last [`DensityOp::solve_field`]:
+    /// `field_x`/`field_y` are the field a gradient reads; the potential
+    /// and energy are those of the last [`DensityOp::energy`].
     pub fn field(&self) -> &FieldSolution {
         &self.solution
     }
 
-    /// Restores the cached field solution from checkpointed data — the
-    /// write-side counterpart of [`DensityOp::field`], used when a GP run
-    /// resumes inside a skip window and must serve gradients from the
-    /// same cached field the interrupted run held.
+    /// Restores the cached field from checkpointed data — the write-side
+    /// counterpart of [`DensityOp::field`], used when a GP run resumes
+    /// inside a skip window and must serve gradients from the same cached
+    /// field the interrupted run held.
     ///
     /// # Errors
     ///
     /// Returns [`OpsError::InvalidModel`] if the slice lengths do not
     /// match this operator's grid.
-    pub fn restore_field(
-        &mut self,
-        field_x: &[f64],
-        field_y: &[f64],
-        energy: f64,
-    ) -> Result<(), OpsError> {
+    pub fn restore_field(&mut self, field_x: &[f64], field_y: &[f64]) -> Result<(), OpsError> {
         let want = self.nx * self.ny;
         if field_x.len() != want || field_y.len() != want {
             return Err(OpsError::InvalidModel(format!(
@@ -263,7 +293,6 @@ impl DensityOp {
             .field_y
             .as_mut_slice()
             .copy_from_slice(field_y);
-        self.solution.energy = energy;
         Ok(())
     }
 
@@ -287,6 +316,12 @@ impl DensityOp {
                 ]
             }
         };
+        assert_eq!(
+            self.footprints.len(),
+            model.num_nodes(),
+            "density operator used with another model"
+        );
+        let footprints = &self.footprints;
         let node_block = self.node_block;
         if node_range.iter().any(|r| r.len() > node_block) {
             // Blocked: chop every range into fixed node_block-sized blocks
@@ -313,9 +348,7 @@ impl DensityOp {
             let partials = &mut self.blocks[..blocks.len()];
             xplace_parallel::global().run_mut(partials, self.threads, |b, (local, oy)| {
                 local.fill_zero();
-                for i in blocks[b].clone() {
-                    binning.accumulate_node(model, i, oy, local);
-                }
+                accumulate_nodes::run(&binning, model, blocks[b].clone(), footprints, oy, local);
             });
             for (p, _) in partials.iter() {
                 map.add_assign_grid(p);
@@ -323,9 +356,7 @@ impl DensityOp {
             return;
         }
         for range in node_range {
-            for i in range {
-                binning.accumulate_node(model, i, &mut self.oy, map);
-            }
+            accumulate_nodes::run(&binning, model, range, footprints, &mut self.oy, map);
         }
     }
 
@@ -421,9 +452,13 @@ impl DensityOp {
     }
 
     /// Solves the electrostatic system on the total map, caching the
-    /// potential and field (two kernels: the packed-real forward analysis
-    /// and the fused scale+synthesis pass, matching the `rfft2`/`irfft2`
-    /// pair the paper uses).
+    /// field (two kernels: the packed-real forward analysis and the fused
+    /// scale+synthesis pass, matching the `rfft2`/`irfft2` pair the paper
+    /// uses). The iteration reads only `Ex`/`Ey`, so the solve synthesizes
+    /// those two streams ([`SolveOutputs::Field`], 6 of the 8 transform
+    /// streams); the potential and energy come from
+    /// [`DensityOp::energy`] when something reads them. The modeled kernel
+    /// descriptors are unchanged.
     ///
     /// # Errors
     ///
@@ -436,18 +471,31 @@ impl DensityOp {
         let total = &self.total_map;
         let mut result = Ok(());
         device.launch(analysis, || {
-            // Analysis + potential/field synthesis happen inside the
-            // solver; charge the fused synthesis separately below.
+            // Analysis + field synthesis happen inside the solver; charge
+            // the fused synthesis separately below.
         });
         device.launch(fields, || {
-            result = solver.solve_into(total, solution).map_err(OpsError::from);
+            result = solver
+                .solve_outputs(total, solution, SolveOutputs::Field)
+                .map_err(OpsError::from);
         });
         result
     }
 
-    /// The electrostatic energy of the last solve (`0.5 sum(rho psi)`).
-    pub fn energy(&self) -> f64 {
-        self.solution.energy
+    /// The electrostatic energy `0.5 sum(rho psi)` of the current total
+    /// map, computed on demand through the solver's potential passes
+    /// ([`SolveOutputs::Potential`]) — bit-identical to the energy a full
+    /// solve of the same map returns. Host-side: no kernel is launched, so
+    /// reading it leaves the modeled profile untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OpsError::Spectral`] on grid mismatch (an internal
+    /// invariant violation).
+    pub fn energy(&mut self) -> Result<f64, OpsError> {
+        self.solver
+            .solve_outputs(&self.total_map, &mut self.solution, SolveOutputs::Potential)?;
+        Ok(self.solution.energy)
     }
 
     /// Blends externally predicted field maps into the cached solution
@@ -501,57 +549,105 @@ impl DensityOp {
         });
     }
 
-    /// Accumulates the density gradient `lambda * dD/dx_i = -lambda q_i E(b_i)`
-    /// into `grad_x`/`grad_y` for movable cells **and** fillers (one
-    /// kernel). `q_i` is the node area; the field is sampled at the node
-    /// center's bin and converted from bin units to database units.
+    /// The descriptor of the density-gradient kernel `lambda * dD/dx_i`
+    /// over movable cells and fillers.
+    pub fn gradient_kernel(model: &PlacementModel) -> KernelInfo {
+        let n = (model.num_movable() + model.num_fillers()) as u64;
+        KernelInfo::new("density_gradient")
+            .bytes(n * 48)
+            .flops(n * 8)
+    }
+
+    /// The fused host pass of one iteration over the optimizable nodes:
+    /// for each node it samples the cached field at the node center's bin
+    /// (converted from bin units to database units) once, then
+    ///
+    /// 1. adds `|q_i E_x| + |q_i E_y|` of movable cells to the unit-λ
+    ///    density-gradient norm (λ initialization and the operator-skipping
+    ///    ratio `r` of §3.1.4), which it returns;
+    /// 2. when `lambda > 0`, accumulates the density gradient
+    ///    `lambda * dD/dx_i = -lambda q_i E(b_i)` (`q_i` is the node area);
+    /// 3. divides the gradient by the preconditioner
+    ///    [`crate::precond::diagonal`].
+    ///
+    /// Each node goes through the same operations as the three separate
+    /// passes this replaces, and the norm sums movable cells in index
+    /// order, so every output bit is theirs. Runs on the host with no
+    /// launch of its own: the caller charges the `density_gradient` and
+    /// `precondition` kernels.
     ///
     /// # Panics
     ///
     /// Panics if the gradient slices are shorter than the node count.
-    pub fn accumulate_gradient(
+    pub fn gradient_pass(
         &self,
-        device: &Device,
         model: &PlacementModel,
         lambda: f64,
         grad_x: &mut [f64],
         grad_y: &mut [f64],
-    ) {
-        assert!(grad_x.len() >= model.num_nodes() && grad_y.len() >= model.num_nodes());
-        let n = (model.num_movable() + model.num_fillers()) as u64;
-        let kernel = KernelInfo::new("density_gradient")
-            .bytes(n * 48)
-            .flops(n * 8);
-        device.launch(kernel, || {
-            let region = model.region();
-            let inv_bw = 1.0 / model.bin_w();
-            let inv_bh = 1.0 / model.bin_h();
-            for i in model.optimizable_indices() {
-                let bx = (((model.x[i] - region.lx) * inv_bw) as usize).min(self.nx - 1);
-                let by = (((model.y[i] - region.ly) * inv_bh) as usize).min(self.ny - 1);
-                let q = model.node_area(i);
-                grad_x[i] -= lambda * q * self.solution.field_x[(bx, by)] * inv_bw;
-                grad_y[i] -= lambda * q * self.solution.field_y[(bx, by)] * inv_bh;
-            }
-        });
+    ) -> f64 {
+        let n = model.num_nodes();
+        assert!(grad_x.len() >= n && grad_y.len() >= n);
+        let ranges = model.ranges();
+        let pass = GradientPass {
+            region: model.region(),
+            inv_bw: 1.0 / model.bin_w(),
+            inv_bh: 1.0 / model.bin_h(),
+            nx: self.nx,
+            ny: self.ny,
+            lambda,
+            field_x: self.solution.field_x.as_slice(),
+            field_y: self.solution.field_y.as_slice(),
+        };
+        let mut norm = 0.0;
+        gradient_nodes::run(&pass, model, ranges.movable, grad_x, grad_y, Some(&mut norm));
+        gradient_nodes::run(&pass, model, ranges.filler, grad_x, grad_y, None);
+        norm
     }
+}
 
-    /// Norm helpers: the summed absolute density-gradient magnitude over
-    /// movable nodes for the last field solve, used for λ initialization
-    /// and the operator-skipping ratio `r` (§3.1.4).
-    pub fn gradient_l1_norm(&self, model: &PlacementModel) -> f64 {
-        let region = model.region();
-        let inv_bw = 1.0 / model.bin_w();
-        let inv_bh = 1.0 / model.bin_h();
-        let mut total = 0.0;
-        for i in 0..model.num_movable() {
-            let bx = (((model.x[i] - region.lx) * inv_bw) as usize).min(self.nx - 1);
-            let by = (((model.y[i] - region.ly) * inv_bh) as usize).min(self.ny - 1);
+/// The loop constants of [`DensityOp::gradient_pass`].
+struct GradientPass<'a> {
+    region: xplace_db::Rect,
+    inv_bw: f64,
+    inv_bh: f64,
+    nx: usize,
+    ny: usize,
+    lambda: f64,
+    field_x: &'a [f64],
+    field_y: &'a [f64],
+}
+
+xplace_parallel::avx2_dispatch! {
+    /// [`DensityOp::gradient_pass`] over the nodes `range`, summing their
+    /// norm into `norm` when given.
+    fn gradient_nodes(
+        pass: &GradientPass<'_>,
+        model: &PlacementModel,
+        range: std::ops::Range<usize>,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+        norm: Option<&mut f64>,
+    ) {
+        let mut norm = norm;
+        let (inv_bw, inv_bh, lambda) = (pass.inv_bw, pass.inv_bh, pass.lambda);
+        for i in range {
+            let bx = (((model.x[i] - pass.region.lx) * inv_bw) as usize).min(pass.nx - 1);
+            let by = (((model.y[i] - pass.region.ly) * inv_bh) as usize).min(pass.ny - 1);
+            let bin = bx * pass.ny + by;
+            let (ex, ey) = (pass.field_x[bin], pass.field_y[bin]);
             let q = model.node_area(i);
-            total += (q * self.solution.field_x[(bx, by)] * inv_bw).abs()
-                + (q * self.solution.field_y[(bx, by)] * inv_bh).abs();
+            if let Some(norm) = norm.as_deref_mut() {
+                *norm += (q * ex * inv_bw).abs() + (q * ey * inv_bh).abs();
+            }
+            if lambda > 0.0 {
+                grad_x[i] -= lambda * q * ex * inv_bw;
+                grad_y[i] -= lambda * q * ey * inv_bh;
+            }
+            let h = crate::precond::diagonal(model, lambda, i);
+            grad_x[i] /= h;
+            grad_y[i] /= h;
         }
-        total
     }
 }
 
@@ -566,7 +662,7 @@ mod per_bin {
         if model.w[i] <= 0.0 || model.h[i] <= 0.0 {
             return;
         }
-        let (lx, ux, ly, uy, scale) = b.footprint(model, i);
+        let (lx, ux, ly, uy, scale) = Binning::charge(model, i, b.footprint(model, i));
         let (bx0, bx1, by0, by1) = b.bins(lx, ux, ly, uy);
         for bx in bx0..bx1 {
             let b_lx = b.region.lx + bx as f64 * b.bin_w;
@@ -611,6 +707,52 @@ mod per_bin {
             }
         }
         map
+    }
+}
+
+/// The three host passes [`DensityOp::gradient_pass`] fused: the unit-λ
+/// norm, the density gradient and the preconditioner, each its own loop.
+/// Kept as the bit-exact oracle of the fused pass.
+#[cfg(test)]
+mod unfused {
+    use super::{DensityOp, PlacementModel};
+
+    fn sample(op: &DensityOp, model: &PlacementModel, i: usize) -> (f64, f64) {
+        let region = model.region();
+        let (nx, ny) = op.grid_dims();
+        let bx = (((model.x[i] - region.lx) * (1.0 / model.bin_w())) as usize).min(nx - 1);
+        let by = (((model.y[i] - region.ly) * (1.0 / model.bin_h())) as usize).min(ny - 1);
+        (op.field().field_x[(bx, by)], op.field().field_y[(bx, by)])
+    }
+
+    pub(super) fn passes(
+        op: &DensityOp,
+        model: &PlacementModel,
+        lambda: f64,
+        grad_x: &mut [f64],
+        grad_y: &mut [f64],
+    ) -> f64 {
+        let (inv_bw, inv_bh) = (1.0 / model.bin_w(), 1.0 / model.bin_h());
+        let mut norm = 0.0;
+        for i in 0..model.num_movable() {
+            let (ex, ey) = sample(op, model, i);
+            let q = model.node_area(i);
+            norm += (q * ex * inv_bw).abs() + (q * ey * inv_bh).abs();
+        }
+        if lambda > 0.0 {
+            for i in model.optimizable_indices() {
+                let (ex, ey) = sample(op, model, i);
+                let q = model.node_area(i);
+                grad_x[i] -= lambda * q * ex * inv_bw;
+                grad_y[i] -= lambda * q * ey * inv_bh;
+            }
+        }
+        for i in model.optimizable_indices() {
+            let h = (model.node_degree[i] as f64 + lambda * model.node_area(i)).max(1.0);
+            grad_x[i] /= h;
+            grad_y[i] /= h;
+        }
+        norm
     }
 }
 
@@ -688,6 +830,29 @@ mod tests {
                     "filler map differs (block {node_block}, width {threads})");
                 prop_assert!(same_bits(&op.total_map, &want_all),
                     "total map differs (block {node_block}, width {threads})");
+            }
+        }
+
+        /// The fused gradient pass equals the three separate passes bit
+        /// for bit: the norm and every gradient entry, for λ = 0 and λ > 0.
+        fn fused_gradient_pass_matches_separate_passes_bitwise(case in oracle_case()) {
+            let (model, _) = case;
+            let device = Device::new(DeviceConfig::instant());
+            let mut op = DensityOp::new(&model).unwrap();
+            op.accumulate_all(&device, &model);
+            op.solve_field(&device).unwrap();
+            let n = model.num_nodes();
+            let start: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            for lambda in [0.0, 1e-7, 3.5] {
+                let (mut gx0, mut gy0) = (start.clone(), start.clone());
+                let want = unfused::passes(&op, &model, lambda, &mut gx0, &mut gy0);
+                let (mut gx1, mut gy1) = (start.clone(), start.clone());
+                let got = op.gradient_pass(&model, lambda, &mut gx1, &mut gy1);
+                prop_assert!(got.to_bits() == want.to_bits(), "norm {got} vs {want}");
+                prop_assert!(gx1.iter().zip(&gx0).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "grad_x differs (lambda {lambda})");
+                prop_assert!(gy1.iter().zip(&gy0).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "grad_y differs (lambda {lambda})");
             }
         }
     }
@@ -786,7 +951,9 @@ mod tests {
         op.solve_field(&device).unwrap();
         let n = model.num_nodes();
         let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
-        op.accumulate_gradient(&device, &model, 1.0, &mut gx, &mut gy);
+        // Unit degrees and areas would rescale each entry by a positive
+        // preconditioner; the sign is what is checked.
+        op.gradient_pass(&model, 1.0, &mut gx, &mut gy);
         let c = model.region().center();
         let mut checked = 0;
         for i in 0..model.num_movable() {
@@ -806,11 +973,11 @@ mod tests {
         let (mut model, mut op, device) = setup();
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        let clustered = op.energy();
+        let clustered = op.energy().unwrap();
         spread(&mut model);
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        let spread_e = op.energy();
+        let spread_e = op.energy().unwrap();
         assert!(spread_e < clustered, "{spread_e} vs {clustered}");
     }
 
@@ -862,10 +1029,12 @@ mod tests {
     }
 
     #[test]
-    fn gradient_l1_norm_positive_when_clustered() {
+    fn gradient_norm_positive_when_clustered() {
         let (model, mut op, device) = setup();
         op.accumulate_all(&device, &model);
         op.solve_field(&device).unwrap();
-        assert!(op.gradient_l1_norm(&model) > 0.0);
+        let n = model.num_nodes();
+        let (mut gx, mut gy) = (vec![0.0; n], vec![0.0; n]);
+        assert!(op.gradient_pass(&model, 0.0, &mut gx, &mut gy) > 0.0);
     }
 }

@@ -46,4 +46,4 @@ pub mod precond;
 pub mod wirelength;
 
 pub use error::OpsError;
-pub use model::{NodeRange, PlacementModel};
+pub use model::{clamp_center, NodeRange, PlacementModel};

@@ -16,6 +16,31 @@ pub struct NodeRange {
     pub filler: Range<usize>,
 }
 
+/// The center `(x, y)` of a `w x h` node moved the least so its rectangle
+/// lies inside `r` (centered on the region's axis where it is wider than
+/// the region); NaN stays NaN. [`PlacementModel::clamp_to_region`] applies
+/// it to every optimizable node, and an optimizer that moves the nodes may
+/// apply it in the same pass.
+#[inline(always)]
+pub fn clamp_center(r: Rect, w: f64, h: f64, x: f64, y: f64) -> (f64, f64) {
+    // `f64::clamp`'s result for `lo <= hi`, without its range assert (so
+    // the loops calling this vectorize).
+    let clamp = |v: f64, lo: f64, hi: f64| {
+        let v = if v < lo { lo } else { v };
+        if v > hi {
+            hi
+        } else {
+            v
+        }
+    };
+    let half_w = w * 0.5;
+    let half_h = h * 0.5;
+    (
+        clamp(x, r.lx + half_w, (r.ux - half_w).max(r.lx + half_w)),
+        clamp(y, r.ly + half_h, (r.uy - half_h).max(r.ly + half_h)),
+    )
+}
+
 /// Array-of-structs view of a placement instance, the operand of every
 /// operator in this crate.
 ///
@@ -325,10 +350,7 @@ impl PlacementModel {
             (ranges.movable, ranges.filler)
         };
         for i in movable.chain(filler) {
-            let half_w = self.w[i] * 0.5;
-            let half_h = self.h[i] * 0.5;
-            self.x[i] = self.x[i].clamp(r.lx + half_w, (r.ux - half_w).max(r.lx + half_w));
-            self.y[i] = self.y[i].clamp(r.ly + half_h, (r.uy - half_h).max(r.ly + half_h));
+            (self.x[i], self.y[i]) = clamp_center(r, self.w[i], self.h[i], self.x[i], self.y[i]);
         }
     }
 

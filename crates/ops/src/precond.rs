@@ -13,32 +13,21 @@
 //! (wirelength-dominated < 0.05, spreading, final > 0.95).
 
 use crate::PlacementModel;
-use xplace_device::{Device, KernelInfo};
+use xplace_device::KernelInfo;
 
-/// Applies the preconditioner in place:
-/// `g_i /= max(1, |S_i| + lambda A_i)` for every optimizable node (one
-/// kernel). Fillers have `|S_i| = 0` and are preconditioned by area only.
-///
-/// # Panics
-///
-/// Panics if the gradient slices are shorter than the node count.
-pub fn apply(
-    device: &Device,
-    model: &PlacementModel,
-    lambda: f64,
-    grad_x: &mut [f64],
-    grad_y: &mut [f64],
-) {
-    assert!(grad_x.len() >= model.num_nodes() && grad_y.len() >= model.num_nodes());
+/// The preconditioner diagonal `max(1, |S_i| + lambda A_i)` of node `i`;
+/// the gradient of every optimizable node is divided by it (fillers have
+/// `|S_i| = 0` and are preconditioned by area only).
+#[inline(always)]
+pub fn diagonal(model: &PlacementModel, lambda: f64, i: usize) -> f64 {
+    (model.node_degree[i] as f64 + lambda * model.node_area(i)).max(1.0)
+}
+
+/// The descriptor of the precondition kernel over the optimizable nodes.
+/// Its body is part of [`crate::density::DensityOp::gradient_pass`].
+pub fn kernel(model: &PlacementModel) -> KernelInfo {
     let n = (model.num_movable() + model.num_fillers()) as u64;
-    let kernel = KernelInfo::new("precondition").bytes(n * 40).flops(n * 6);
-    device.launch(kernel, || {
-        for i in model.optimizable_indices() {
-            let h = (model.node_degree[i] as f64 + lambda * model.node_area(i)).max(1.0);
-            grad_x[i] /= h;
-            grad_y[i] /= h;
-        }
-    });
+    KernelInfo::new("precondition").bytes(n * 40).flops(n * 6)
 }
 
 /// The precondition weighted ratio ω over movable cells (Eq. in §3.2).
@@ -86,7 +75,6 @@ impl OmegaSums {
 mod tests {
     use super::*;
     use xplace_db::synthesis::{synthesize, SynthesisSpec};
-    use xplace_device::DeviceConfig;
 
     fn model() -> PlacementModel {
         let design = synthesize(&SynthesisSpec::new("p", 200, 210).with_seed(31)).unwrap();
@@ -94,35 +82,18 @@ mod tests {
     }
 
     #[test]
-    fn preconditioner_divides_by_degree_plus_area() {
+    fn diagonal_is_degree_plus_area_clamped_at_one() {
         let m = model();
-        let device = Device::new(DeviceConfig::instant());
-        let n = m.num_nodes();
-        let (mut gx, mut gy) = (vec![2.0; n], vec![-4.0; n]);
-        let lambda = 0.5;
-        apply(&device, &m, lambda, &mut gx, &mut gy);
-        for i in m.optimizable_indices() {
-            let h = (m.node_degree[i] as f64 + lambda * m.node_area(i)).max(1.0);
-            assert!((gx[i] - 2.0 / h).abs() < 1e-12);
-            assert!((gy[i] + 4.0 / h).abs() < 1e-12);
+        for lambda in [0.0, 0.5] {
+            for i in m.optimizable_indices() {
+                let h = m.node_degree[i] as f64 + lambda * m.node_area(i);
+                assert_eq!(diagonal(&m, lambda, i), h.max(1.0));
+            }
         }
-        // Fixed nodes are untouched.
-        for i in m.ranges().fixed {
-            assert_eq!(gx[i], 2.0);
-        }
-    }
-
-    #[test]
-    fn clamp_prevents_amplification() {
-        let m = model();
-        let device = Device::new(DeviceConfig::instant());
-        let n = m.num_nodes();
-        let (mut gx, mut gy) = (vec![1.0; n], vec![1.0; n]);
-        // lambda = 0 and some node with degree 0 (a filler) would divide
-        // by 0 without the clamp.
-        apply(&device, &m, 0.0, &mut gx, &mut gy);
+        // lambda = 0 and a filler (degree 0) would divide by 0 without the
+        // clamp: the gradient must not be amplified.
         for i in m.ranges().filler {
-            assert_eq!(gx[i], 1.0, "filler gradient must not be amplified");
+            assert_eq!(diagonal(&m, 0.0, i), 1.0);
         }
     }
 

@@ -18,33 +18,23 @@ use crate::PlacementModel;
 use xplace_device::{Device, KernelInfo};
 use xplace_parallel::WorkerPool;
 
-/// Per-pin scratch of one net: each pin's coordinates and its two WA
-/// exponentials per axis, written by the sum pass and read back by the
-/// gradient pass so no exponential is evaluated twice.
+/// Per-pin scratch of one net: each pin's coordinates and its four WA
+/// exponentials (see [`Lanes`]), written by the sum pass and read back by
+/// the gradient pass so no exponential is evaluated twice.
 #[derive(Debug, Clone, Default)]
 struct PinCache {
     x: Vec<f64>,
     y: Vec<f64>,
-    ax_pos: Vec<f64>,
-    ax_neg: Vec<f64>,
-    ay_pos: Vec<f64>,
-    ay_neg: Vec<f64>,
+    a: Vec<Lanes>,
 }
 
 impl PinCache {
     /// Grows every buffer to hold at least `degree` pins.
     fn reserve(&mut self, degree: usize) {
         if self.x.len() < degree {
-            for buf in [
-                &mut self.x,
-                &mut self.y,
-                &mut self.ax_pos,
-                &mut self.ax_neg,
-                &mut self.ay_pos,
-                &mut self.ay_neg,
-            ] {
-                buf.resize(degree, 0.0);
-            }
+            self.x.resize(degree, 0.0);
+            self.y.resize(degree, 0.0);
+            self.a.resize(degree, [0.0; 4]);
         }
     }
 }
@@ -104,12 +94,12 @@ pub struct FusedWirelength {
     pub hpwl: f64,
 }
 
-#[inline]
+#[inline(always)]
 fn net_range(model: &PlacementModel, e: usize) -> (usize, usize) {
     (model.net_start[e] as usize, model.net_start[e + 1] as usize)
 }
 
-#[inline]
+#[inline(always)]
 fn pin_pos(model: &PlacementModel, p: usize) -> (f64, f64) {
     let n = model.pin_node[p] as usize;
     (model.x[n] + model.pin_dx[p], model.y[n] + model.pin_dy[p])
@@ -147,18 +137,108 @@ pub fn hpwl(device: &Device, model: &PlacementModel) -> f64 {
     })
 }
 
+/// The four independent WA quantities of a pin or a net, one lane each:
+/// `x+`, `x-`, `y+`, `y-` (the positive and negative exponent sums of each
+/// axis). Every per-lane step is the scalar formula of its lane, so the
+/// lanes vectorize without changing a bit.
+type Lanes = [f64; 4];
+
+/// `+1` on the positive lanes, `-1` on the negative ones: `1 + SIGN * t`
+/// is `1 + t` or `1 - t` exactly (IEEE `a - b` is `a + (-b)`).
+const SIGN: Lanes = [1.0, -1.0, 1.0, -1.0];
+
+/// `arg.exp()`, counted per thread in test builds so the tests can pin how
+/// many exponentials a WA pass evaluates.
+#[inline(always)]
+fn counted_exp(arg: f64) -> f64 {
+    #[cfg(test)]
+    EXP_CALLS.with(|c| c.set(c.get() + 1));
+    arg.exp()
+}
+
+#[cfg(test)]
+thread_local! {
+    static EXP_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The WA exponent arguments of a pin at `(vx, vy)` in a net with extrema
+/// `lo = [min_x, min_y]`, `hi = [max_x, max_y]`: `(v - max) * inv_gamma`
+/// on the positive lanes, `(min - v) * inv_gamma` on the negative ones.
+#[inline(always)]
+fn exp_args(vx: f64, vy: f64, lo: [f64; 2], hi: [f64; 2], inv_gamma: f64) -> Lanes {
+    [
+        (vx - hi[0]) * inv_gamma,
+        (lo[0] - vx) * inv_gamma,
+        (vy - hi[1]) * inv_gamma,
+        (lo[1] - vy) * inv_gamma,
+    ]
+}
+
+/// The WA exponentials of every pin of a net, without the `exp` calls
+/// whose value is already known; each stored value is the one `exp`
+/// returns for its argument.
+///
+/// A pin at a net extreme has `v - max == +0` (or `min - v == +0`), so
+/// its argument is `±0` and `exp` returns exactly `1.0`. In a degree-2 net
+/// the two off-extreme arguments of an axis are the same expression
+/// (`min - max` times `inv_gamma`, once as `v0 - max` and once as
+/// `min - v1`, or the mirror), so one call serves the axis; its values are
+/// picked by comparing argument bits, without a data-dependent branch.
+#[inline(always)]
+fn net_exps(x: &[f64], y: &[f64], lo: [f64; 2], hi: [f64; 2], inv_gamma: f64, a: &mut [Lanes]) {
+    if let ([x0, x1], [y0, y1], [a0, a1]) = (x, y, &mut *a) {
+        let (p0, p1) = (
+            exp_args(*x0, *y0, lo, hi, inv_gamma),
+            exp_args(*x1, *y1, lo, hi, inv_gamma),
+        );
+        for axis in [0, 2] {
+            let off = if p0[axis] != 0.0 {
+                p0[axis]
+            } else {
+                p0[axis + 1]
+            };
+            let e = counted_exp(off);
+            let pick = |arg: f64| {
+                let same = arg.to_bits() == off.to_bits();
+                if !same && arg != 0.0 {
+                    // Only a non-finite coordinate or gamma gets here.
+                    return counted_exp(arg);
+                }
+                if same {
+                    e
+                } else {
+                    1.0
+                }
+            };
+            (a0[axis], a0[axis + 1]) = (pick(p0[axis]), pick(p0[axis + 1]));
+            (a1[axis], a1[axis + 1]) = (pick(p1[axis]), pick(p1[axis + 1]));
+        }
+        return;
+    }
+    for ((&vx, &vy), a) in x.iter().zip(y).zip(a.iter_mut()) {
+        *a = exp_args(vx, vy, lo, hi, inv_gamma).map(|arg| {
+            if arg == 0.0 {
+                1.0
+            } else {
+                counted_exp(arg)
+            }
+        });
+    }
+}
+
 /// WA value and gradient of net `e` over pins `s..t` (Eq. 6, stable form:
 /// exponents shifted by the net extrema).
 ///
 /// One pass reads each pin's position into the cache and finds the
-/// extrema (HPWL); a second evaluates the two exponentials per axis, caches
-/// them and accumulates the sums; the gradient pass reuses the cached
+/// extrema (HPWL); [`net_exps`] evaluates the four exponentials per pin
+/// (skipping the ones whose value is known) into the cache, a second pass
+/// accumulates the per-lane sums, and the gradient pass reuses the cached
 /// values. Every quantity goes through the same IEEE operations in the
 /// same order as the textbook two-pass formula that recomputes the
 /// exponentials, so the result is bit-identical to it. `grad(p, dx, dy)`
 /// receives each pin's weighted-average derivatives in pin order.
 /// Returns `(hpwl, wa)`, both unweighted.
-#[inline]
+#[inline(always)]
 fn wa_net(
     model: &PlacementModel,
     s: usize,
@@ -169,15 +249,7 @@ fn wa_net(
 ) -> (f64, f64) {
     let deg = t - s;
     cache.reserve(deg);
-    let PinCache {
-        x,
-        y,
-        ax_pos,
-        ax_neg,
-        ay_pos,
-        ay_neg,
-    } = cache;
-    let (x, y) = (&mut x[..deg], &mut y[..deg]);
+    let (x, y, a) = (&mut cache.x[..deg], &mut cache.y[..deg], &mut cache.a[..deg]);
     let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
     let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
     for ((px, py), p) in x.iter_mut().zip(y.iter_mut()).zip(s..t) {
@@ -187,72 +259,62 @@ fn wa_net(
         min_y = min_y.min(*py);
         max_y = max_y.max(*py);
     }
-    let (mut sx_pos, mut sux_pos, mut sx_neg, mut sux_neg) = (0.0, 0.0, 0.0, 0.0);
-    let (mut sy_pos, mut suy_pos, mut sy_neg, mut suy_neg) = (0.0, 0.0, 0.0, 0.0);
-    for k in 0..deg {
-        let (vx, vy) = (x[k], y[k]);
-        let a_pos = ((vx - max_x) * inv_gamma).exp();
-        let a_neg = ((min_x - vx) * inv_gamma).exp();
-        (ax_pos[k], ax_neg[k]) = (a_pos, a_neg);
-        sx_pos += a_pos;
-        sux_pos += vx * a_pos;
-        sx_neg += a_neg;
-        sux_neg += vx * a_neg;
-        let a_pos = ((vy - max_y) * inv_gamma).exp();
-        let a_neg = ((min_y - vy) * inv_gamma).exp();
-        (ay_pos[k], ay_neg[k]) = (a_pos, a_neg);
-        sy_pos += a_pos;
-        suy_pos += vy * a_pos;
-        sy_neg += a_neg;
-        suy_neg += vy * a_neg;
+    net_exps(x, y, [min_x, min_y], [max_x, max_y], inv_gamma, a);
+    let (mut sum, mut usum) = ([0.0; 4], [0.0; 4]);
+    for ((&vx, &vy), a) in x.iter().zip(y.iter()).zip(a.iter()) {
+        let v = [vx, vx, vy, vy];
+        for j in 0..4 {
+            sum[j] += a[j];
+            usum[j] += v[j] * a[j];
+        }
     }
-    let (wlx_pos, wlx_neg) = (sux_pos / sx_pos, sux_neg / sx_neg);
-    let (wly_pos, wly_neg) = (suy_pos / sy_pos, suy_neg / sy_neg);
-    for (k, p) in (s..t).enumerate() {
-        let (vx, vy) = (x[k], y[k]);
-        let d_pos = ax_pos[k] / sx_pos * (1.0 + (vx - wlx_pos) * inv_gamma);
-        let d_neg = ax_neg[k] / sx_neg * (1.0 - (vx - wlx_neg) * inv_gamma);
-        let dx = d_pos - d_neg;
-        let d_pos = ay_pos[k] / sy_pos * (1.0 + (vy - wly_pos) * inv_gamma);
-        let d_neg = ay_neg[k] / sy_neg * (1.0 - (vy - wly_neg) * inv_gamma);
-        grad(p, dx, d_pos - d_neg);
+    let wl: Lanes = std::array::from_fn(|j| usum[j] / sum[j]);
+    for (((&vx, &vy), a), p) in x.iter().zip(y.iter()).zip(a.iter()).zip(s..t) {
+        let v = [vx, vx, vy, vy];
+        let d: Lanes =
+            std::array::from_fn(|j| a[j] / sum[j] * (1.0 + SIGN[j] * ((v[j] - wl[j]) * inv_gamma)));
+        grad(p, d[0] - d[1], d[2] - d[3]);
     }
     let hpwl = (max_x - min_x) + (max_y - min_y);
-    let wa = (wlx_pos - wlx_neg) + (wly_pos - wly_neg);
+    let wa = (wl[0] - wl[1]) + (wl[2] - wl[3]);
     (hpwl, wa)
 }
 
-/// Serial WA pass over the net range `nets`, accumulating weighted
-/// gradients into `grad` when given.
-fn wa_pass(
-    model: &PlacementModel,
-    gamma: f64,
-    nets: std::ops::Range<usize>,
-    cache: &mut PinCache,
-    mut grad: Option<(&mut [f64], &mut [f64])>,
-) -> FusedWirelength {
-    let nm = model.num_movable();
-    let inv_gamma = 1.0 / gamma;
-    let mut out = FusedWirelength::default();
-    for e in nets {
-        let (s, t) = net_range(model, e);
-        if t - s < 2 {
-            continue;
-        }
-        let weight = model.net_weight[e];
-        let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
-            if let Some((gx, gy)) = grad.as_mut() {
-                let n = model.pin_node[p] as usize;
-                if n < nm {
-                    gx[n] += weight * dx;
-                    gy[n] += weight * dy;
-                }
+xplace_parallel::avx2_dispatch! {
+    /// Serial WA pass over the net range `nets`, accumulating weighted
+    /// gradients into `grad` when given (the four lanes of every pin run
+    /// as one AVX2 vector where the CPU has it).
+    fn wa_pass(
+        model: &PlacementModel,
+        gamma: f64,
+        nets: std::ops::Range<usize>,
+        cache: &mut PinCache,
+        grad: Option<(&mut [f64], &mut [f64])>,
+    ) -> FusedWirelength {
+        let mut grad = grad;
+        let nm = model.num_movable();
+        let inv_gamma = 1.0 / gamma;
+        let mut out = FusedWirelength::default();
+        for e in nets {
+            let (s, t) = net_range(model, e);
+            if t - s < 2 {
+                continue;
             }
-        });
-        out.hpwl += weight * hpwl;
-        out.wa += weight * wa;
+            let weight = model.net_weight[e];
+            let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
+                if let Some((gx, gy)) = grad.as_mut() {
+                    let n = model.pin_node[p] as usize;
+                    if n < nm {
+                        gx[n] += weight * dx;
+                        gy[n] += weight * dy;
+                    }
+                }
+            });
+            out.hpwl += weight * hpwl;
+            out.wa += weight * wa;
+        }
+        out
     }
-    out
 }
 
 /// [`wa_pass`] over every net with a fresh pin cache, for the kernels that
@@ -262,7 +324,7 @@ fn wa_pass_all(
     gamma: f64,
     grad: Option<(&mut [f64], &mut [f64])>,
 ) -> FusedWirelength {
-    wa_pass(
+    wa_pass::run(
         model,
         gamma,
         0..model.num_nets(),
@@ -434,7 +496,7 @@ pub fn wa_fused_blocked_ws(
     if blocks == 1 {
         let pins = &mut ws.slots[0].pins;
         return device.launch(fused_kernel(model), || {
-            wa_pass(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
+            wa_pass::run(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
         });
     }
     device.launch(fused_kernel(model), || {
@@ -444,7 +506,7 @@ pub fn wa_fused_blocked_ws(
             slot.grad_x.fill(0.0);
             slot.grad_y.fill(0.0);
             let grad = Some((&mut slot.grad_x[..], &mut slot.grad_y[..]));
-            wa_pass(model, gamma, lo..hi, &mut slot.pins, grad)
+            wa_pass::run(model, gamma, lo..hi, &mut slot.pins, grad)
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
@@ -645,7 +707,10 @@ mod tests {
     /// A scattered model and a WA gamma from tiny to large. Half the cases
     /// re-cut the pins into degree-2 nets (plus a trailing degree-1 net
     /// when the pin count is odd); every third node sits on one shared
-    /// point with zero pin offsets, so many nets have coincident pins.
+    /// point with zero pin offsets, so many nets have coincident pins. In
+    /// a third of the cases the other nodes snap to a 3 x 3 lattice with
+    /// zero pin offsets, so most nets have several pins tied at an
+    /// extreme (and the exponential shortcuts fire on every tie).
     fn oracle_case() -> impl Strategy<Value = (PlacementModel, f64)> {
         prop::from_fn(|rng: &mut Rng| {
             let cells = rng.gen_range(20usize..120);
@@ -654,16 +719,24 @@ mod tests {
             let mut m = PlacementModel::from_design(&synthesize(&spec).unwrap()).unwrap();
             let r = m.region();
             let c = r.center();
+            let lattice = rng.gen_range(0u32..3) == 0;
+            let coord = |rng: &mut Rng| {
+                if lattice {
+                    [0.1, 0.5, 0.9][rng.gen_range(0usize..3)]
+                } else {
+                    rng.gen_range(0.0..1.0)
+                }
+            };
             for i in 0..m.num_nodes() {
                 if i % 3 == 0 {
                     (m.x[i], m.y[i]) = (c.x, c.y);
                 } else {
-                    m.x[i] = r.lx + rng.gen_range(0.0..1.0) * r.width();
-                    m.y[i] = r.ly + rng.gen_range(0.0..1.0) * r.height();
+                    m.x[i] = r.lx + coord(rng) * r.width();
+                    m.y[i] = r.ly + coord(rng) * r.height();
                 }
             }
             for p in 0..m.num_pins() {
-                if m.pin_node[p].is_multiple_of(3) {
+                if lattice || m.pin_node[p].is_multiple_of(3) {
                     (m.pin_dx[p], m.pin_dy[p]) = (0.0, 0.0);
                 }
             }
@@ -709,6 +782,42 @@ mod tests {
                 prop_assert!(bits(&gy1) == bits(&gy0), "grad_y differs (gamma {gamma})");
             }
         }
+    }
+
+    /// Each net with two or more pins saves at least one exponential per
+    /// axis and direction (its extreme pin), so a pass evaluates at most
+    /// `4 * pins - 4 * nets` of them instead of `4 * pins`; a degree-2 net
+    /// with distinct pins evaluates one per axis.
+    #[test]
+    fn wa_pass_skips_the_exponentials_of_extreme_pins() {
+        let (model, _) = setup(2000);
+        let exps = |model: &PlacementModel| {
+            EXP_CALLS.with(|c| c.set(0));
+            wa_pass_all(model, 4.0, None);
+            EXP_CALLS.with(|c| c.get())
+        };
+        let (pins, nets) = (0..model.num_nets())
+            .map(|e| net_range(&model, e))
+            .filter(|(s, t)| t - s >= 2)
+            .fold((0, 0), |(p, n), (s, t)| (p + t - s, n + 1));
+        let got = exps(&model);
+        assert!(
+            got <= 4 * pins - 4 * nets,
+            "{got} exponentials for {pins} pins on {nets} nets"
+        );
+        let mut two_pin = model.clone();
+        let all = two_pin.num_pins() as u32 & !1;
+        two_pin.net_start = (0..=all).step_by(2).collect();
+        two_pin.net_weight = vec![1.0; two_pin.net_start.len() - 1];
+        two_pin.pin_node.truncate(all as usize);
+        let distinct = (0..two_pin.num_nets())
+            .map(|e| {
+                let (s, _) = net_range(&two_pin, e);
+                let (a, b) = (pin_pos(&two_pin, s), pin_pos(&two_pin, s + 1));
+                usize::from(a.0 != b.0) + usize::from(a.1 != b.1)
+            })
+            .sum::<usize>();
+        assert_eq!(exps(&two_pin), distinct);
     }
 
     fn setup(cells: usize) -> (PlacementModel, Device) {

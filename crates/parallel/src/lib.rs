@@ -28,6 +28,8 @@
 //! Zero registry dependencies: the queueing, latching and lifetime management
 //! are built from `std` primitives only (`Mutex`, `Condvar`, `VecDeque`).
 
+pub mod simd;
+
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
