@@ -228,8 +228,7 @@ impl GradientEngine {
     /// Propagates [`PlaceError::Ops`] if the field snapshot does not
     /// match this engine's density grid.
     pub fn restore_state(&mut self, state: &EngineState) -> Result<(), PlaceError> {
-        self.density
-            .restore_field(&state.field_x, &state.field_y)?;
+        self.density.restore_field(&state.field_x, &state.field_y)?;
         self.last_r = state.last_r;
         self.field_age = state.field_age;
         self.has_field = state.has_field;
@@ -743,6 +742,68 @@ mod tests {
         );
         // Overflow is served from cache.
         assert_eq!(r1.overflow, r0.overflow);
+    }
+
+    /// The energy a checkpoint reads is computed lazily from the last
+    /// fresh solve's total map; it must equal an eager full solve of that
+    /// map bit for bit inside a skip window, and a resumed engine must
+    /// report the checkpointed value until its own next solve.
+    #[test]
+    fn lazy_energy_matches_an_eager_solve_in_a_skip_window_and_after_a_resume() {
+        let eager = |engine: &GradientEngine| {
+            let total = &engine.density_op().total_map;
+            let (nx, ny) = total.dims();
+            let mut solver = xplace_fft::ElectrostaticSolver::new(nx, ny).unwrap();
+            solver.solve(total).unwrap().energy.to_bits()
+        };
+        let ops = OperatorConfig::all();
+        let (model, mut engine, device) = setup(Framework::Xplace, ops);
+        let s = ScheduleConfig::default();
+        let mut p = Parameters::new(&s, model.bin_w());
+        let warm = engine.evaluate(&device, &model, &p, 0.0).unwrap();
+        assert_eq!(
+            engine.state().unwrap().cached_energy.to_bits(),
+            eager(&engine)
+        );
+        p.initialize_lambda(&s, warm.wl_grad_l1, warm.density_grad_l1);
+        // Step into the skip window: a fresh solve, then skipped iterations.
+        let mut skipped = 0;
+        while skipped < 2 {
+            p.advance();
+            skipped += usize::from(
+                engine
+                    .evaluate(&device, &model, &p, 0.0)
+                    .unwrap()
+                    .density_skipped,
+            );
+        }
+        let state = engine.state().unwrap();
+        assert_eq!(state.cached_energy.to_bits(), eager(&engine));
+        assert_ne!(state.cached_energy, 0.0);
+
+        // Resume into a fresh engine: its total map is empty, so only the
+        // restored value can match.
+        let (_, mut resumed, _) = setup(Framework::Xplace, ops);
+        resumed.restore_state(&state).unwrap();
+        let mut refreshed = false;
+        for _ in 0..2 * SKIP_PERIOD {
+            p.advance();
+            let want = engine.evaluate(&device, &model, &p, 0.0).unwrap();
+            let got = resumed.evaluate(&device, &model, &p, 0.0).unwrap();
+            assert_eq!(got, want);
+            refreshed |= !got.density_skipped;
+            let energy = resumed.state().unwrap().cached_energy;
+            assert_eq!(
+                energy.to_bits(),
+                engine.state().unwrap().cached_energy.to_bits()
+            );
+            if refreshed {
+                assert_eq!(energy.to_bits(), eager(&resumed));
+            } else {
+                assert_eq!(energy.to_bits(), state.cached_energy.to_bits());
+            }
+        }
+        assert!(refreshed, "the field never refreshed after the resume");
     }
 
     #[test]

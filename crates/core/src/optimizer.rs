@@ -42,7 +42,13 @@ impl NesterovOptimizer {
     pub fn new(model: &PlacementModel, initial_step: f64, max_disp: f64) -> Self {
         let nodes = optimizable_ranges(model);
         let n = nodes[0].len() + nodes[1].len();
-        let gather = |src: &[f64]| -> Vec<f64> { nodes.iter().flat_map(|r| &src[r.clone()]).copied().collect() };
+        let gather = |src: &[f64]| -> Vec<f64> {
+            nodes
+                .iter()
+                .flat_map(|r| &src[r.clone()])
+                .copied()
+                .collect()
+        };
         NesterovOptimizer {
             u_x: gather(&model.x),
             u_y: gather(&model.y),
@@ -162,7 +168,10 @@ impl NesterovOptimizer {
                     [&model.w[r.clone()], &model.h[r.clone()]],
                     [&gx[r.clone()], &gy[r]],
                     [&mut self.u_x[ks.clone()], &mut self.u_y[ks.clone()]],
-                    [&mut self.prev_v_x[ks.clone()], &mut self.prev_v_y[ks.clone()]],
+                    [
+                        &mut self.prev_v_x[ks.clone()],
+                        &mut self.prev_v_y[ks.clone()],
+                    ],
                     [&mut self.prev_g_x[ks.clone()], &mut self.prev_g_y[ks]],
                 );
             }
@@ -398,6 +407,79 @@ mod tests {
         for i in model.optimizable_indices() {
             gx[i] = model.x[i] - tx;
             gy[i] = model.y[i] - ty;
+        }
+    }
+
+    /// The AVX2 builds of both host passes equal their portable builds
+    /// bit for bit, on random segments that include out-of-region points
+    /// (so the clamp bites on both sides).
+    #[test]
+    fn host_passes_agree_across_builds() {
+        if !xplace_parallel::simd::avx2_or_note("host_passes_agree_across_builds") {
+            return;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let region = xplace_db::Rect::new(0.0, 0.0, 100.0, 50.0);
+        let mut rng = xplace_testkit::Rng::seed_from_u64(5);
+        for n in [0, 1, 3, 4, 7, 64, 1001] {
+            let mut r = |scale: f64| -> Vec<f64> {
+                (0..n).map(|_| (rng.f64() * 1.4 - 0.2) * scale).collect()
+            };
+            let (x, y, w, h) = (r(100.0), r(50.0), r(8.0), r(8.0));
+            let (gx, gy, ux, uy) = (r(3.0), r(3.0), r(100.0), r(50.0));
+            let (pvx, pvy, pgx, pgy) = (r(100.0), r(50.0), r(3.0), r(3.0));
+            for have_prev in [false, true] {
+                let want = step_sums::portable(
+                    [0.5, 0.25, 0.1],
+                    have_prev,
+                    [&x, &y],
+                    [&pvx, &pvy],
+                    [&gx, &gy],
+                    [&pgx, &pgy],
+                );
+                // SAFETY: the CPU supports AVX2.
+                let got = unsafe {
+                    step_sums::avx2(
+                        [0.5, 0.25, 0.1],
+                        have_prev,
+                        [&x, &y],
+                        [&pvx, &pvy],
+                        [&gx, &gy],
+                        [&pgx, &pgy],
+                    )
+                };
+                assert_eq!(bits(&got), bits(&want), "sums, n = {n}");
+            }
+            let mut runs = [(); 2].map(|_| {
+                let bufs = [&x, &y, &ux, &uy, &pvx, &pvy, &pgx, &pgy];
+                bufs.map(|b| b.clone())
+            });
+            for (k, [x, y, ux, uy, pvx, pvy, pgx, pgy]) in runs.iter_mut().enumerate() {
+                let args = (
+                    [&mut x[..], &mut y[..]],
+                    [&w[..], &h[..]],
+                    [&gx[..], &gy[..]],
+                    [&mut ux[..], &mut uy[..]],
+                    [&mut pvx[..], &mut pvy[..]],
+                    [&mut pgx[..], &mut pgy[..]],
+                );
+                if k == 0 {
+                    nesterov_update::portable(
+                        0.7, 0.3, region, args.0, args.1, args.2, args.3, args.4, args.5,
+                    );
+                } else {
+                    // SAFETY: the CPU supports AVX2.
+                    unsafe {
+                        nesterov_update::avx2(
+                            0.7, 0.3, region, args.0, args.1, args.2, args.3, args.4, args.5,
+                        )
+                    };
+                }
+            }
+            let [a, b] = &runs;
+            for (a, b) in a.iter().zip(b) {
+                assert_eq!(bits(a), bits(b), "update, n = {n}");
+            }
         }
     }
 

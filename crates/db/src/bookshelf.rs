@@ -39,43 +39,102 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-fn parse_kv(line: &str, key: &str) -> Option<f64> {
-    let line = line.trim();
-    let rest = line.strip_prefix(key)?.trim_start();
-    let rest = rest.strip_prefix(':')?.trim();
-    rest.split_whitespace().next()?.parse().ok()
+/// The value of a `Key : value` line when the line starts with `key`:
+/// `Ok(None)` for another line, an error naming `format` and the line when
+/// the value is missing or not a number.
+fn parse_kv(line: &str, key: &str, format: &str, lineno: usize) -> Result<Option<f64>, DbError> {
+    let Some(rest) = line.trim().strip_prefix(key) else {
+        return Ok(None);
+    };
+    let Some(rest) = rest.trim_start().strip_prefix(':') else {
+        return Ok(None);
+    };
+    let token = rest.split_whitespace().next().unwrap_or("");
+    token.parse().map(Some).map_err(|_| {
+        DbError::parse(
+            format,
+            lineno,
+            format!("`{key}` value `{token}` is not a number"),
+        )
+    })
+}
+
+/// A `NumX : count` header line's count and line number, when `line` is
+/// that header.
+fn parse_count(
+    line: &str,
+    key: &str,
+    format: &str,
+    lineno: usize,
+) -> Result<Option<(usize, usize)>, DbError> {
+    match parse_kv(line, key, format, lineno)? {
+        Some(v) if v >= 0.0 && v.fract() == 0.0 && v <= u32::MAX as f64 => {
+            Ok(Some((v as usize, lineno)))
+        }
+        Some(v) => Err(DbError::parse(
+            format,
+            lineno,
+            format!("`{key}` value {v} is not a count"),
+        )),
+        None => Ok(None),
+    }
+}
+
+/// Checks a header count against the number of records found.
+fn check_count(
+    header: Option<(usize, usize)>,
+    found: usize,
+    key: &str,
+    what: &str,
+    format: &str,
+) -> Result<(), DbError> {
+    match header {
+        Some((declared, lineno)) if declared != found => Err(DbError::parse(
+            format,
+            lineno,
+            format!("`{key}` declares {declared} {what} but the file lists {found}"),
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
     let mut seen: HashSet<&str> = HashSet::new();
+    let (mut num_nodes, mut num_terminals) = (None, None);
+    let mut terminals = 0;
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
-        if line.is_empty()
-            || line.starts_with("UCLA")
-            || line.starts_with("NumNodes")
-            || line.starts_with("NumTerminals")
-        {
+        let lineno = lineno + 1;
+        if line.is_empty() || line.starts_with("UCLA") {
+            continue;
+        }
+        if let Some(count) = parse_count(line, "NumNodes", "nodes", lineno)? {
+            num_nodes = Some(count);
+            continue;
+        }
+        if let Some(count) = parse_count(line, "NumTerminals", "nodes", lineno)? {
+            num_terminals = Some(count);
             continue;
         }
         let mut it = line.split_whitespace();
         let name = it
             .next()
-            .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing node name"))?;
+            .ok_or_else(|| DbError::parse("nodes", lineno, "missing node name"))?;
         let w: f64 = it
             .next()
-            .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing width"))?
+            .ok_or_else(|| DbError::parse("nodes", lineno, "missing width"))?
             .parse()
-            .map_err(|_| DbError::parse("nodes", lineno + 1, "width is not a number"))?;
+            .map_err(|_| DbError::parse("nodes", lineno, "width is not a number"))?;
         let h: f64 = it
             .next()
-            .ok_or_else(|| DbError::parse("nodes", lineno + 1, "missing height"))?
+            .ok_or_else(|| DbError::parse("nodes", lineno, "missing height"))?
             .parse()
-            .map_err(|_| DbError::parse("nodes", lineno + 1, "height is not a number"))?;
+            .map_err(|_| DbError::parse("nodes", lineno, "height is not a number"))?;
         for (what, v) in [("width", w), ("height", h)] {
             if !v.is_finite() || v < 0.0 {
                 return Err(DbError::parse(
                     "nodes",
-                    lineno + 1,
+                    lineno,
                     format!("node `{name}` has a non-finite or negative {what} ({v})"),
                 ));
             }
@@ -83,80 +142,128 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         if !seen.insert(name) {
             return Err(DbError::parse(
                 "nodes",
-                lineno + 1,
+                lineno,
                 format!("duplicate node name `{name}`"),
             ));
         }
-        let terminal = it
-            .next()
-            .map(|t| t.eq_ignore_ascii_case("terminal"))
-            .unwrap_or(false);
+        let kind = it.next();
+        // `terminal_NI` (ISPD 2015) counts toward `NumTerminals` too.
+        if kind.is_some_and(|t| t.to_ascii_lowercase().starts_with("terminal")) {
+            terminals += 1;
+        }
+        let terminal = kind.is_some_and(|t| t.eq_ignore_ascii_case("terminal"));
         data.nodes.push((name.to_string(), w, h, terminal));
     }
     if data.nodes.is_empty() {
         return Err(DbError::parse("nodes", 0, "no node records found"));
     }
+    check_count(num_nodes, data.nodes.len(), "NumNodes", "nodes", "nodes")?;
+    check_count(
+        num_terminals,
+        terminals,
+        "NumTerminals",
+        "terminals",
+        "nodes",
+    )
+}
+
+/// A net being read: name, declared degree, the line of its `NetDegree`
+/// record and the pins so far.
+type OpenNet = (String, usize, usize, Vec<(String, Point)>);
+
+/// Closes a net: its pin list must match its declared degree.
+fn close_net(net: OpenNet, data: &mut BookshelfData) -> Result<(), DbError> {
+    let (name, degree, lineno, pins) = net;
+    if pins.len() != degree {
+        return Err(DbError::parse(
+            "nets",
+            lineno,
+            format!(
+                "net `{name}` declares degree {degree} but lists {} pins",
+                pins.len()
+            ),
+        ));
+    }
+    data.nets.push((name, pins));
     Ok(())
 }
 
 fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
-    let mut current: Option<(String, usize, Vec<(String, Point)>)> = None;
+    let mut current: Option<OpenNet> = None;
     let mut anon = 0usize;
+    let (mut num_nets, mut num_pins) = (None, None);
+    let mut pins_found = 0;
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
-        if line.is_empty()
-            || line.starts_with("UCLA")
-            || line.starts_with("NumNets")
-            || line.starts_with("NumPins")
-        {
+        let lineno = lineno + 1;
+        if line.is_empty() || line.starts_with("UCLA") {
+            continue;
+        }
+        if let Some(count) = parse_count(line, "NumNets", "nets", lineno)? {
+            num_nets = Some(count);
+            continue;
+        }
+        if let Some(count) = parse_count(line, "NumPins", "nets", lineno)? {
+            num_pins = Some(count);
             continue;
         }
         if let Some(rest) = line.strip_prefix("NetDegree") {
-            if let Some((name, _deg, pins)) = current.take() {
-                data.nets.push((name, pins));
+            if let Some(net) = current.take() {
+                close_net(net, data)?;
             }
             let rest = rest.trim_start().strip_prefix(':').unwrap_or(rest).trim();
             let mut it = rest.split_whitespace();
             let degree: usize = it
                 .next()
-                .ok_or_else(|| DbError::parse("nets", lineno + 1, "missing net degree"))?
+                .ok_or_else(|| DbError::parse("nets", lineno, "missing net degree"))?
                 .parse()
-                .map_err(|_| DbError::parse("nets", lineno + 1, "degree is not a number"))?;
+                .map_err(|_| DbError::parse("nets", lineno, "degree is not a number"))?;
             let name = it.next().map(str::to_string).unwrap_or_else(|| {
                 anon += 1;
                 format!("net_{anon}")
             });
-            current = Some((name, degree, Vec::with_capacity(degree)));
+            // The capacity is a hint: bound it so a hostile degree cannot
+            // allocate; the pin count is checked when the net closes.
+            current = Some((name, degree, lineno, Vec::with_capacity(degree.min(64))));
         } else {
-            let (_, _, pins) = current
+            let (net, _, _, pins) = current
                 .as_mut()
-                .ok_or_else(|| DbError::parse("nets", lineno + 1, "pin before NetDegree"))?;
+                .ok_or_else(|| DbError::parse("nets", lineno, "pin before NetDegree"))?;
             // "cellname I/O/B : dx dy" (offsets optional)
             let mut it = line.split_whitespace();
             let cell = it
                 .next()
-                .ok_or_else(|| DbError::parse("nets", lineno + 1, "missing cell name"))?
+                .ok_or_else(|| DbError::parse("nets", lineno, "missing cell name"))?
                 .to_string();
-            let mut dx = 0.0;
-            let mut dy = 0.0;
+            let mut dx: f64 = 0.0;
+            let mut dy: f64 = 0.0;
             let rest: Vec<&str> = it.collect();
             if let Some(colon) = rest.iter().position(|t| *t == ":") {
                 if rest.len() >= colon + 3 {
                     dx = rest[colon + 1].parse().map_err(|_| {
-                        DbError::parse("nets", lineno + 1, "pin x offset is not a number")
+                        DbError::parse("nets", lineno, "pin x offset is not a number")
                     })?;
                     dy = rest[colon + 2].parse().map_err(|_| {
-                        DbError::parse("nets", lineno + 1, "pin y offset is not a number")
+                        DbError::parse("nets", lineno, "pin y offset is not a number")
                     })?;
                 }
             }
+            if !dx.is_finite() || !dy.is_finite() {
+                return Err(DbError::parse(
+                    "nets",
+                    lineno,
+                    format!("net `{net}` pin on `{cell}` has a non-finite offset ({dx}, {dy})"),
+                ));
+            }
             pins.push((cell, Point::new(dx, dy)));
+            pins_found += 1;
         }
     }
-    if let Some((name, _deg, pins)) = current.take() {
-        data.nets.push((name, pins));
+    if let Some(net) = current.take() {
+        close_net(net, data)?;
     }
-    Ok(())
+    check_count(num_nets, data.nets.len(), "NumNets", "nets", "nets")?;
+    check_count(num_pins, pins_found, "NumPins", "pins", "nets")
 }
 
 /// Parses a `.wts` net-weights file: `netname weight` per line.
@@ -175,8 +282,12 @@ fn parse_wts(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             .ok_or_else(|| DbError::parse("wts", lineno + 1, "missing weight"))?
             .parse()
             .map_err(|_| DbError::parse("wts", lineno + 1, "weight is not a number"))?;
-        if weight < 0.0 {
-            return Err(DbError::parse("wts", lineno + 1, "negative net weight"));
+        if !weight.is_finite() || weight < 0.0 {
+            return Err(DbError::parse(
+                "wts",
+                lineno + 1,
+                format!("net `{name}` has a non-finite or negative weight ({weight})"),
+            ));
         }
         data.weights.insert(name.to_string(), weight);
     }
@@ -216,6 +327,24 @@ fn parse_pl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
     Ok(())
 }
 
+/// Checks one `.scl` row field: finite, positive for the sizes
+/// (`Height`, `Sitewidth`), non-negative for `NumSites`.
+fn check_row_field(key: &str, v: f64, lineno: usize) -> Result<f64, DbError> {
+    let bad = match key {
+        "Height" | "Sitewidth" => !(v.is_finite() && v > 0.0),
+        "NumSites" => !(v.is_finite() && v >= 0.0),
+        _ => !v.is_finite(),
+    };
+    if bad {
+        return Err(DbError::parse(
+            "scl",
+            lineno,
+            format!("row `{key}` value {v} is out of range"),
+        ));
+    }
+    Ok(v)
+}
+
 fn parse_scl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
     let mut y = None;
     let mut height = None;
@@ -224,6 +353,7 @@ fn parse_scl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
     let mut num_sites = None;
     for (lineno, raw) in content.lines().enumerate() {
         let line = strip_comment(raw).trim();
+        let lineno = lineno + 1;
         if line.is_empty() || line.starts_with("UCLA") || line.starts_with("NumRows") {
             continue;
         }
@@ -233,21 +363,31 @@ fn parse_scl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
             site_width = 1.0;
             origin = None;
             num_sites = None;
-        } else if let Some(v) = parse_kv(line, "Coordinate") {
-            y = Some(v);
-        } else if let Some(v) = parse_kv(line, "Height") {
-            height = Some(v);
-        } else if let Some(v) = parse_kv(line, "Sitewidth") {
-            site_width = v;
+        } else if let Some(v) = parse_kv(line, "Coordinate", "scl", lineno)? {
+            y = Some(check_row_field("Coordinate", v, lineno)?);
+        } else if let Some(v) = parse_kv(line, "Height", "scl", lineno)? {
+            height = Some(check_row_field("Height", v, lineno)?);
+        } else if let Some(v) = parse_kv(line, "Sitewidth", "scl", lineno)? {
+            site_width = check_row_field("Sitewidth", v, lineno)?;
         } else if line.starts_with("SubrowOrigin") {
             // "SubrowOrigin : 0 NumSites : 100"
             let tokens: Vec<&str> = line.split_whitespace().collect();
             for w in tokens.windows(3) {
-                if w[0] == "SubrowOrigin" && w[1] == ":" {
-                    origin = w[2].parse().ok();
+                if w[1] != ":" || !matches!(w[0], "SubrowOrigin" | "NumSites") {
+                    continue;
                 }
-                if w[0] == "NumSites" && w[1] == ":" {
-                    num_sites = w[2].parse().ok();
+                let v: f64 = w[2].parse().map_err(|_| {
+                    DbError::parse(
+                        "scl",
+                        lineno,
+                        format!("`{}` value `{}` is not a number", w[0], w[2]),
+                    )
+                })?;
+                let v = check_row_field(w[0], v, lineno)?;
+                if w[0] == "SubrowOrigin" {
+                    origin = Some(v);
+                } else {
+                    num_sites = Some(v);
                 }
             }
         } else if line.starts_with("End") {
@@ -256,7 +396,7 @@ fn parse_scl(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
                 _ => {
                     return Err(DbError::parse(
                         "scl",
-                        lineno + 1,
+                        lineno,
                         "row block missing Coordinate or Height",
                     ))
                 }
@@ -706,6 +846,202 @@ mod tests {
         }
         let err = parse_pl("a 0 -inf : N\n", &mut data).unwrap_err();
         assert!(matches!(err, DbError::Parse { line: 1, .. }), "{err}");
+    }
+
+    /// Asserts `err` is a parse error of `format` at `line` whose message
+    /// contains `needle`.
+    fn assert_parse_error(err: DbError, format: &str, line: usize, needle: &str) {
+        match &err {
+            DbError::Parse {
+                format: f,
+                line: l,
+                message,
+            } => {
+                assert_eq!((f.as_str(), *l), (format, line), "{err}");
+                assert!(message.contains(needle), "{err}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_net_numerics_are_rejected_naming_the_net() {
+        let mut data = BookshelfData::default();
+        let err = parse_wts(
+            "UCLA wts 1.0
+n0 1
+n1 nan
+",
+            &mut data,
+        )
+        .unwrap_err();
+        assert_parse_error(err, "wts", 3, "`n1`");
+        let err = parse_wts(
+            "n0 inf
+", &mut data,
+        )
+        .unwrap_err();
+        assert_parse_error(err, "wts", 1, "non-finite or negative weight");
+        let nets = "NetDegree : 2 n0
+ a B : 0 0
+ b B : nan 1
+";
+        let err = parse_nets(nets, &mut data).unwrap_err();
+        assert_parse_error(
+            err,
+            "nets",
+            3,
+            "net `n0` pin on `b` has a non-finite offset",
+        );
+        let err = parse_nets(
+            "NetDegree : 1 n0
+ a B : 0 -inf
+",
+            &mut data,
+        )
+        .unwrap_err();
+        assert_parse_error(err, "nets", 2, "non-finite offset");
+    }
+
+    #[test]
+    fn a_net_with_fewer_or_more_pins_than_its_degree_is_rejected() {
+        for (text, line, needle) in [
+            (
+                "NetDegree : 7 big
+ a B : 0 0
+ b B : 0 0
+",
+                1,
+                "net `big` declares degree 7 but lists 2 pins",
+            ),
+            (
+                "NetDegree : 2 n0
+ a B
+ b B
+ c B
+NetDegree : 2 n1
+ a B
+ b B
+",
+                1,
+                "declares degree 2 but lists 3 pins",
+            ),
+            (
+                "NetDegree : 2 n0
+ a B
+ b B
+NetDegree : 3 n1
+ a B
+",
+                4,
+                "net `n1` declares degree 3 but lists 1 pins",
+            ),
+        ] {
+            let err = parse_nets(text, &mut BookshelfData::default()).unwrap_err();
+            assert_parse_error(err, "nets", line, needle);
+        }
+    }
+
+    #[test]
+    fn header_counts_must_match_the_records() {
+        let nodes =
+            "UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\n a 1 1\n b 1 1\n p 0 0 terminal\n";
+        parse_nodes(nodes, &mut BookshelfData::default()).unwrap();
+        for (text, line, needle) in [
+            (
+                "NumNodes : 3\n a 1 1\n b 1 1\n",
+                1,
+                "`NumNodes` declares 3 nodes but the file lists 2",
+            ),
+            (
+                "NumNodes : 2\nNumTerminals : 1\n a 1 1\n b 1 1\n",
+                2,
+                "`NumTerminals` declares 1",
+            ),
+            (
+                "NumNodes : x\n a 1 1\n",
+                1,
+                "`NumNodes` value `x` is not a number",
+            ),
+            ("NumNodes : 2.5\n a 1 1\n", 1, "is not a count"),
+        ] {
+            let err = parse_nodes(text, &mut BookshelfData::default()).unwrap_err();
+            assert_parse_error(err, "nodes", line, needle);
+        }
+        let net = "NetDegree : 2 n0\n a B\n b B\n";
+        for (text, line, needle) in [
+            (
+                format!("NumNets : 2\n{net}"),
+                1,
+                "`NumNets` declares 2 nets but the file lists 1",
+            ),
+            (
+                format!("NumNets : 1\nNumPins : 3\n{net}"),
+                2,
+                "`NumPins` declares 3 pins",
+            ),
+        ] {
+            let err = parse_nets(&text, &mut BookshelfData::default()).unwrap_err();
+            assert_parse_error(err, "nets", line, needle);
+        }
+        parse_nets(
+            &format!("NumNets : 1\nNumPins : 2\n{net}"),
+            &mut BookshelfData::default(),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn degenerate_or_unparsable_rows_are_rejected_with_their_line() {
+        let row =
+            |body: &str| format!("UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n{body}End\n");
+        let good =
+            "  Coordinate : 0\n  Height : 12\n  Sitewidth : 1\n  SubrowOrigin : 0 NumSites : 50\n";
+        parse_scl(&row(good), &mut BookshelfData::default()).unwrap();
+        for (field, bad, needle) in [
+            (
+                "Height : 12",
+                "Height : 0",
+                "row `Height` value 0 is out of range",
+            ),
+            ("Height : 12", "Height : -3", "out of range"),
+            ("Height : 12", "Height : nan", "out of range"),
+            (
+                "Height : 12",
+                "Height : twelve",
+                "`Height` value `twelve` is not a number",
+            ),
+            (
+                "Sitewidth : 1",
+                "Sitewidth : 0",
+                "row `Sitewidth` value 0 is out of range",
+            ),
+            (
+                "Coordinate : 0",
+                "Coordinate : inf",
+                "row `Coordinate` value inf",
+            ),
+            (
+                "SubrowOrigin : 0",
+                "SubrowOrigin : zero",
+                "`SubrowOrigin` value `zero` is not a number",
+            ),
+            (
+                "NumSites : 50",
+                "NumSites : fifty",
+                "`NumSites` value `fifty` is not a number",
+            ),
+            (
+                "NumSites : 50",
+                "NumSites : -5",
+                "row `NumSites` value -5 is out of range",
+            ),
+        ] {
+            let text = row(&good.replace(field, bad));
+            let line = text.lines().position(|l| l.contains(bad)).unwrap() + 1;
+            let err = parse_scl(&text, &mut BookshelfData::default()).unwrap_err();
+            assert_parse_error(err, "scl", line, needle);
+        }
     }
 
     #[test]

@@ -20,6 +20,13 @@
 
 use crate::{Complex, DctPlan};
 
+#[cfg(test)]
+thread_local! {
+    /// Tile transforms run on this thread (analyses plus syntheses), so
+    /// the solver tests can count the transform streams of a solve.
+    pub(crate) static TRANSFORMS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Widest tile, in batch columns. Rows of a tile are `TILE * 8` bytes, so
 /// a `128 x 32` tile's two planes (64 KiB) stay cache-resident through all
 /// butterfly stages.
@@ -149,6 +156,8 @@ impl BatchDct {
     /// `C[k] = sum_n x[n] cos(pi k (2n+1) / 2N)` in row `k` of `re`.
     #[inline(always)]
     pub(crate) fn analyze(&self, re: &mut [f64], im: &mut [f64], w: usize) {
+        #[cfg(test)]
+        TRANSFORMS.with(|c| c.set(c.get() + 1));
         self.butterflies(re, im, w, false);
         let n = self.len;
         // k = 0: X[0] = (z0.re + z0.im, 0).
@@ -207,6 +216,8 @@ impl BatchDct {
     /// `ext[2j] = re`, `ext[2j+1] = im` of the unscaled inverse.
     #[inline(always)]
     pub(crate) fn synthesize(&self, re: &mut [f64], im: &mut [f64], w: usize) {
+        #[cfg(test)]
+        TRANSFORMS.with(|c| c.set(c.get() + 1));
         let n = self.len;
         // k = 0: Z[0] = (c0, 0), Z[N] = 0, packed z[0] = (x0 + xn, x0 - xn).
         for (r, i) in re[..w].iter_mut().zip(im[..w].iter_mut()) {

@@ -740,6 +740,26 @@ mod tests {
         }
     }
 
+    /// A placement iteration's field-only solve runs 6 of the 8 transform
+    /// streams of a full solve; the on-demand potential runs 4.
+    #[test]
+    fn transform_streams_per_solve() {
+        use crate::batch::TRANSFORMS;
+        // One tile per pass, serial: every tile transform is one stream.
+        let mut solver = ElectrostaticSolver::new(32, 16).unwrap();
+        let density = mode_density(32, 16, 3, 2, 1.0);
+        let mut out = FieldSolution::new(32, 16);
+        for (outputs, streams) in [
+            (SolveOutputs::All, 8),
+            (SolveOutputs::Field, 6),
+            (SolveOutputs::Potential, 4),
+        ] {
+            TRANSFORMS.with(|c| c.set(0));
+            solver.solve_outputs(&density, &mut out, outputs).unwrap();
+            assert_eq!(TRANSFORMS.with(|c| c.get()), streams, "{outputs:?}");
+        }
+    }
+
     #[test]
     fn rectangular_grids_are_supported() {
         let mut solver = ElectrostaticSolver::new(64, 16).unwrap();
@@ -753,5 +773,115 @@ mod tests {
         let sol = solver.solve(&density).unwrap();
         assert!(sol.field_x[(40, 8)] > 0.0);
         assert!(sol.field_x[(10, 8)] < 0.0);
+    }
+}
+
+/// The AVX2 build of every tile pass against its portable build, called
+/// directly on random tiles.
+#[cfg(all(test, target_arch = "x86_64"))]
+mod dispatch_tests {
+    use super::*;
+    use xplace_parallel::simd::avx2_or_note;
+    use xplace_testkit::prop::{self, Config, Strategy};
+    use xplace_testkit::rng::Rng;
+    use xplace_testkit::{prop_assert, props};
+
+    /// A solver for a random power-of-two grid and a seed for its data.
+    fn case() -> impl Strategy<Value = (usize, usize, u64)> {
+        prop::from_fn(|rng: &mut Rng| {
+            (
+                1 << rng.gen_range(0usize..8),
+                1 << rng.gen_range(0usize..8),
+                rng.next_u64(),
+            )
+        })
+    }
+
+    fn random(rng: &mut Rng, len: usize) -> Vec<f64> {
+        (0..len).map(|_| rng.f64() * 2.0 - 1.0).collect()
+    }
+
+    fn bits(bufs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        bufs.iter()
+            .map(|b| b.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Runs `pass(portable, bufs)` on two copies of `bufs`, once per
+    /// build, and tells whether every buffer agrees bit for bit.
+    fn builds_agree(bufs: Vec<Vec<f64>>, pass: impl Fn(bool, &mut [Vec<f64>])) -> bool {
+        let mut portable = bufs.clone();
+        let mut avx2 = bufs;
+        pass(true, &mut portable);
+        pass(false, &mut avx2);
+        bits(&portable) == bits(&avx2)
+    }
+
+    props! {
+        config = Config::with_cases(24);
+
+        /// All four tile passes, for every tile of the grid and every
+        /// output selection.
+        fn tile_passes_agree_across_builds(case in case()) {
+            if !avx2_or_note("tile_passes_agree_across_builds") {
+                return Ok(());
+            }
+            let (nx, ny, seed) = case;
+            let mut rng = Rng::seed_from_u64(seed);
+            let s = ElectrostaticSolver::new(nx, ny).unwrap();
+            let (px, py, wx, wy) = (&s.plan_x, &s.plan_y, &s.wx[..], &s.wy[..]);
+            let grid = random(&mut rng, nx * ny);
+            let (wr, wc) = (TILE.min(nx), TILE.min(ny));
+            for t in 0..nx / wr {
+                let bufs = vec![random(&mut rng, wr * ny), random(&mut rng, wr * ny), random(&mut rng, wr * ny)];
+                prop_assert!(builds_agree(bufs, |portable, b| {
+                    let [re, im, out] = b else { unreachable!() };
+                    if portable {
+                        analyze_y::portable(py, &grid, t, wr, re, im, out);
+                    } else {
+                        // SAFETY: the CPU supports AVX2.
+                        unsafe { analyze_y::avx2(py, &grid, t, wr, re, im, out) };
+                    }
+                }), "analyze_y tile {t} of {nx}x{ny}");
+                for outputs in [SolveOutputs::All, SolveOutputs::Field, SolveOutputs::Potential] {
+                    let mut bufs = vec![random(&mut rng, wr * ny), random(&mut rng, wr * ny)];
+                    bufs.extend((0..3).map(|_| random(&mut rng, wr * ny)));
+                    prop_assert!(builds_agree(bufs, |portable, b| {
+                        let [re, im, d_pot, d_ex, d_ey] = b else { unreachable!() };
+                        let src = [&grid[..], &grid[..], &grid[..]];
+                        if portable {
+                            synthesize_y::portable(py, src, outputs, t, wr, re, im, d_pot, d_ex, d_ey);
+                        } else {
+                            // SAFETY: the CPU supports AVX2.
+                            unsafe { synthesize_y::avx2(py, src, outputs, t, wr, re, im, d_pot, d_ex, d_ey) };
+                        }
+                    }), "synthesize_y tile {t} of {nx}x{ny}, {outputs:?}");
+                }
+            }
+            for t in 0..ny / wc {
+                let bufs = vec![random(&mut rng, wc * nx), random(&mut rng, wc * nx), random(&mut rng, wc * nx)];
+                prop_assert!(builds_agree(bufs, |portable, b| {
+                    let [re, im, out] = b else { unreachable!() };
+                    if portable {
+                        analyze_x::portable(px, wx, wy, &grid, t, wc, re, im, out);
+                    } else {
+                        // SAFETY: the CPU supports AVX2.
+                        unsafe { analyze_x::avx2(px, wx, wy, &grid, t, wc, re, im, out) };
+                    }
+                }), "analyze_x tile {t} of {nx}x{ny}");
+                for outputs in [SolveOutputs::All, SolveOutputs::Field, SolveOutputs::Potential] {
+                    let bufs = (0..5).map(|_| random(&mut rng, wc * nx)).collect();
+                    prop_assert!(builds_agree(bufs, |portable, b| {
+                        let [re, im, pot, ey, coeffs] = b else { unreachable!() };
+                        if portable {
+                            synthesize_x::portable(px, wx, wy, outputs, t, wc, re, im, pot, ey, coeffs);
+                        } else {
+                            // SAFETY: the CPU supports AVX2.
+                            unsafe { synthesize_x::avx2(px, wx, wy, outputs, t, wc, re, im, pot, ey, coeffs) };
+                        }
+                    }), "synthesize_x tile {t} of {nx}x{ny}, {outputs:?}");
+                }
+            }
+        }
     }
 }

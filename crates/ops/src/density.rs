@@ -600,7 +600,14 @@ impl DensityOp {
             field_y: self.solution.field_y.as_slice(),
         };
         let mut norm = 0.0;
-        gradient_nodes::run(&pass, model, ranges.movable, grad_x, grad_y, Some(&mut norm));
+        gradient_nodes::run(
+            &pass,
+            model,
+            ranges.movable,
+            grad_x,
+            grad_y,
+            Some(&mut norm),
+        );
         gradient_nodes::run(&pass, model, ranges.filler, grad_x, grad_y, None);
         norm
     }
@@ -854,6 +861,54 @@ mod tests {
                 prop_assert!(gy1.iter().zip(&gy0).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "grad_y differs (lambda {lambda})");
             }
+        }
+    }
+
+    props! {
+        config = Config::with_cases(16);
+
+        /// The AVX2 builds of the accumulation and the fused gradient pass
+        /// equal their portable builds bit for bit.
+        fn density_passes_agree_across_builds(case in oracle_case()) {
+            if !xplace_parallel::simd::avx2_or_note("density_passes_agree_across_builds") {
+                return Ok(());
+            }
+            let (model, node_block) = case;
+            let device = Device::new(DeviceConfig::instant());
+            let mut op = DensityOp::new(&model).unwrap();
+            let (nx, ny) = model.grid_dims();
+            let binning = Binning::new(&model, nx, ny);
+            let n = model.num_nodes();
+            for lo in (0..n).step_by(node_block) {
+                let nodes = lo..(lo + node_block).min(n);
+                let (mut want, mut got) = (Grid2::new(nx, ny), Grid2::new(nx, ny));
+                let mut oy = Vec::new();
+                accumulate_nodes::portable(&binning, &model, nodes.clone(), &op.footprints, &mut oy, &mut want);
+                // SAFETY: the CPU supports AVX2.
+                unsafe { accumulate_nodes::avx2(&binning, &model, nodes, &op.footprints, &mut oy, &mut got) };
+                prop_assert!(same_bits(&got, &want), "map differs from node {lo}");
+            }
+            op.accumulate_all(&device, &model);
+            op.solve_field(&device).unwrap();
+            let pass = GradientPass {
+                region: model.region(),
+                inv_bw: 1.0 / model.bin_w(),
+                inv_bh: 1.0 / model.bin_h(),
+                nx,
+                ny,
+                lambda: 0.75,
+                field_x: op.field().field_x.as_slice(),
+                field_y: op.field().field_y.as_slice(),
+            };
+            let start: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+            let (mut gx0, mut gy0, mut norm0) = (start.clone(), start.clone(), 0.0);
+            gradient_nodes::portable(&pass, &model, 0..n, &mut gx0, &mut gy0, Some(&mut norm0));
+            let (mut gx1, mut gy1, mut norm1) = (start.clone(), start, 0.0);
+            // SAFETY: the CPU supports AVX2.
+            unsafe { gradient_nodes::avx2(&pass, &model, 0..n, &mut gx1, &mut gy1, Some(&mut norm1)) };
+            prop_assert!(norm0.to_bits() == norm1.to_bits(), "norm {norm0} vs {norm1}");
+            prop_assert!(gx0.iter().chain(&gy0).zip(gx1.iter().chain(&gy1)).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "gradients differ");
         }
     }
 

@@ -29,6 +29,16 @@ pub fn avx2() -> bool {
     }
 }
 
+/// [`avx2`] for a test comparing the two builds of a body: when the CPU
+/// has no AVX2 it notes on standard error that `test` compared nothing.
+pub fn avx2_or_note(test: &str) -> bool {
+    let yes = avx2();
+    if !yes {
+        eprintln!("note: {test}: no AVX2 on this CPU; the AVX2 build was not compared");
+    }
+    yes
+}
+
 /// Compiles a lane-parallel function body for the portable target and for
 /// AVX2, and dispatches on [`simd::avx2`](crate::simd::avx2).
 ///
@@ -112,16 +122,20 @@ mod tests {
         let mut got = fresh();
         let s1 = scaled_sum::run(&a, &mut got, 1.0 / 3.0);
         assert_eq!(s0.to_bits(), s1.to_bits());
-        assert!(want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(want
+            .iter()
+            .zip(&got)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
         #[cfg(target_arch = "x86_64")]
-        if super::avx2() {
+        if super::avx2_or_note("both_builds_agree_bitwise_and_run_dispatches") {
             let mut got = fresh();
             // SAFETY: the CPU supports AVX2.
             let s2 = unsafe { scaled_sum::avx2(&a, &mut got, 1.0 / 3.0) };
             assert_eq!(s0.to_bits(), s2.to_bits());
-            assert!(want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()));
-        } else {
-            eprintln!("note: no AVX2 on this CPU; only the portable build ran");
+            assert!(want
+                .iter()
+                .zip(&got)
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
     }
 }

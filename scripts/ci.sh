@@ -112,6 +112,42 @@ fi
 grep -q '"retries":0' "$SMOKE/dup/batch.json" \
     || { echo "FAIL: a load-time input error spent retries" >&2; exit 1; }
 
+echo "==> hostile input: a NaN .wts weight and a zero-height .scl row fail at load time"
+# Each poisoned copy: place must exit 1 naming the file kind and line, and
+# a batch with a retry budget must spend none of it.
+for CASE in wts scl; do
+    mkdir -p "$SMOKE/$CASE"
+    cp "$SMOKE"/ci-smoke.* "$SMOKE/$CASE/"
+    if [ "$CASE" = wts ]; then
+        NET=$(awk '$1 == "NetDegree" { print $4; exit }' "$SMOKE/ci-smoke.nets")
+        echo "$NET nan" >> "$SMOKE/wts/ci-smoke.wts"
+        WANT="wts parse error at line $(wc -l < "$SMOKE/wts/ci-smoke.wts")"
+    else
+        LINE=$(grep -n "Height" "$SMOKE/ci-smoke.scl" | head -n 1 | cut -d: -f1)
+        sed -i "${LINE}s/Height : .*/Height : 0/" "$SMOKE/scl/ci-smoke.scl"
+        WANT="scl parse error at line $LINE"
+    fi
+    set +e
+    ./target/release/xplace place "$SMOKE/$CASE/ci-smoke.aux" --max-iters 30 \
+        -o "$SMOKE/$CASE/out.pl" >/dev/null 2>"$SMOKE/$CASE/place.err"
+    CODE=$?
+    set -e
+    [ "$CODE" -eq 1 ] \
+        || { echo "FAIL: place on a hostile .$CASE exited $CODE, want 1" >&2; exit 1; }
+    grep -q "$WANT" "$SMOKE/$CASE/place.err" \
+        || { echo "FAIL: place did not report '$WANT'" >&2; exit 1; }
+    cat > "$SMOKE/$CASE/suite.json" <<EOF
+{"jobs": [{"name": "$CASE", "aux": "$SMOKE/$CASE/ci-smoke.aux", "max_iters": 30}], "retries": 2}
+EOF
+    if ./target/release/xplace batch "$SMOKE/$CASE/suite.json" \
+        --report "$SMOKE/$CASE/batch.json" >/dev/null 2>&1; then
+        echo "FAIL: a batch with a hostile .$CASE exited zero" >&2
+        exit 1
+    fi
+    grep -q '"retries":0' "$SMOKE/$CASE/batch.json" \
+        || { echo "FAIL: a hostile .$CASE spent retries" >&2; exit 1; }
+done
+
 echo "==> resume determinism: checkpointed place resumes byte-identically (threads 1, 4)"
 for T in 1 4; do
     ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 --threads "$T" \

@@ -360,3 +360,49 @@ fn duplicate_node_name_fails_at_load_without_spending_retries() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hostile_numerics_fail_at_load_without_spending_retries() {
+    // A NaN net weight and a zero-height row used to load and surface as
+    // divergence or a legalization failure; both are now line-numbered
+    // load errors, fatal on first sight.
+    let dir = temp_dir("hostile");
+    let spec = xplace::db::synthesis::SynthesisSpec::new("hostile", 40, 44).with_seed(3);
+    let design = xplace::db::synthesis::synthesize(&spec).expect("synthesis");
+    let aux = xplace::db::bookshelf::write_design(&design, &dir).expect("write aux");
+    let path = |ext: &str| dir.join(format!("hostile.{ext}"));
+    let read = |ext: &str| std::fs::read_to_string(path(ext)).unwrap();
+    let net = design.netlist().nets().next().unwrap().name().to_string();
+    let cases = [
+        (
+            "wts",
+            format!("{}{net} nan\n", read("wts")),
+            format!("wts parse error at line 2: net `{net}` has a non-finite"),
+        ),
+        (
+            "scl",
+            read("scl").replacen("Height : 12", "Height : 0", 1),
+            "scl parse error at line 5: row `Height` value 0 is out of range".to_string(),
+        ),
+    ];
+    for (ext, poisoned, want) in cases {
+        let clean = read(ext);
+        std::fs::write(path(ext), poisoned).unwrap();
+        let manifest = BatchManifest::parse(&format!(
+            r#"{{"jobs": [{{"name": "bad", "aux": "{}", "max_iters": 30}}], "retries": 2}}"#,
+            aux.display()
+        ))
+        .expect("manifest parses");
+        let batch = fresh_batch(&manifest, 2);
+        let record = batch.report.job("bad").unwrap();
+        assert_eq!(record.status, JobStatus::Failed, "{ext}");
+        assert_eq!(
+            record.retries, 0,
+            "an input error must not be retried ({ext})"
+        );
+        let error = record.error.as_deref().unwrap();
+        assert!(error.contains(&want), "{ext}: {error}");
+        std::fs::write(path(ext), clean).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
