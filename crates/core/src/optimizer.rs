@@ -90,19 +90,29 @@ impl NesterovOptimizer {
     /// in index order, so the sums and the maximum are the ones separate
     /// passes would produce.
     fn predict_step(&self, model: &PlacementModel, gx: &[f64], gy: &[f64]) -> f64 {
-        let mut sums = [0.0; 3];
+        let (mut dv2, mut dg2, mut max_g) = (0.0, 0.0, 0.0f64);
         for (k0, r) in self.segments() {
             let ks = k0..k0 + r.len();
-            sums = step_sums::run(
-                sums,
-                self.have_prev,
-                [&model.x[r.clone()], &model.y[r.clone()]],
-                [&self.prev_v_x[ks.clone()], &self.prev_v_y[ks.clone()]],
-                [&gx[r.clone()], &gy[r]],
-                [&self.prev_g_x[ks.clone()], &self.prev_g_y[ks]],
-            );
+            let (x, y) = (&model.x[r.clone()], &model.y[r.clone()]);
+            let (gx, gy) = (&gx[r.clone()], &gy[r]);
+            if !self.have_prev {
+                for (gx, gy) in gx.iter().zip(gy) {
+                    max_g = max_g.max(gx.abs()).max(gy.abs());
+                }
+                continue;
+            }
+            let (pvx, pvy) = (&self.prev_v_x[ks.clone()], &self.prev_v_y[ks.clone()]);
+            let (pgx, pgy) = (&self.prev_g_x[ks.clone()], &self.prev_g_y[ks]);
+            for j in 0..x.len() {
+                let dvx = x[j] - pvx[j];
+                let dvy = y[j] - pvy[j];
+                let dgx = gx[j] - pgx[j];
+                let dgy = gy[j] - pgy[j];
+                dv2 += dvx * dvx + dvy * dvy;
+                dg2 += dgx * dgx + dgy * dgy;
+                max_g = max_g.max(gx[j].abs()).max(gy[j].abs());
+            }
         }
-        let [dv2, dg2, max_g] = sums;
         let mut step = if !self.have_prev || dg2 <= 0.0 || !dv2.is_finite() || !dg2.is_finite() {
             self.initial_step
         } else {
@@ -160,20 +170,31 @@ impl NesterovOptimizer {
         device.launch(kernel, || {
             for (k0, r) in self.segments() {
                 let ks = k0..k0 + r.len();
-                nesterov_update::run(
-                    step,
-                    coef,
-                    region,
-                    [&mut model.x[r.clone()], &mut model.y[r.clone()]],
-                    [&model.w[r.clone()], &model.h[r.clone()]],
-                    [&gx[r.clone()], &gy[r]],
-                    [&mut self.u_x[ks.clone()], &mut self.u_y[ks.clone()]],
-                    [
-                        &mut self.prev_v_x[ks.clone()],
-                        &mut self.prev_v_y[ks.clone()],
-                    ],
-                    [&mut self.prev_g_x[ks.clone()], &mut self.prev_g_y[ks]],
+                let (x, y) = (&mut model.x[r.clone()], &mut model.y[r.clone()]);
+                let (w, h) = (&model.w[r.clone()], &model.h[r.clone()]);
+                let (gx, gy) = (&gx[r.clone()], &gy[r]);
+                let (ux, uy) = (&mut self.u_x[ks.clone()], &mut self.u_y[ks.clone()]);
+                let (pvx, pvy) = (
+                    &mut self.prev_v_x[ks.clone()],
+                    &mut self.prev_v_y[ks.clone()],
                 );
+                let (pgx, pgy) = (&mut self.prev_g_x[ks.clone()], &mut self.prev_g_y[ks]);
+                for j in 0..x.len() {
+                    // Save the reference point and gradient for BB.
+                    pvx[j] = x[j];
+                    pvy[j] = y[j];
+                    pgx[j] = gx[j];
+                    pgy[j] = gy[j];
+                    // u_{k+1} = v_k - step * g(v_k)
+                    let ux_new = x[j] - step * gx[j];
+                    let uy_new = y[j] - step * gy[j];
+                    // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
+                    let vx = ux_new + coef * (ux_new - ux[j]);
+                    let vy = uy_new + coef * (uy_new - uy[j]);
+                    (x[j], y[j]) = clamp_center(region, w[j], h[j], vx, vy);
+                    ux[j] = ux_new;
+                    uy[j] = uy_new;
+                }
             }
         });
         self.a = a_new;
@@ -273,86 +294,6 @@ impl NesterovOptimizer {
     }
 }
 
-xplace_parallel::avx2_dispatch! {
-    /// Adds one node segment's `|Δv|²`, `|Δg|²` (when `have_prev`) and
-    /// `max |g|` to `sums = [dv2, dg2, max_g]`, node by node. `v`, `g` are
-    /// the segment's `[x, y]` reference point and gradient, `prev_v`,
-    /// `prev_g` the stored previous ones.
-    fn step_sums(
-        sums: [f64; 3],
-        have_prev: bool,
-        v: [&[f64]; 2],
-        prev_v: [&[f64]; 2],
-        g: [&[f64]; 2],
-        prev_g: [&[f64]; 2],
-    ) -> [f64; 3] {
-        let [mut dv2, mut dg2, mut max_g] = sums;
-        let ([x, y], [gx, gy]) = (v, g);
-        if have_prev {
-            let ([pvx, pvy], [pgx, pgy]) = (prev_v, prev_g);
-            let n = x.len();
-            let (y, pvx, pvy, gx, gy, pgx, pgy) =
-                (&y[..n], &pvx[..n], &pvy[..n], &gx[..n], &gy[..n], &pgx[..n], &pgy[..n]);
-            for j in 0..n {
-                let dvx = x[j] - pvx[j];
-                let dvy = y[j] - pvy[j];
-                let dgx = gx[j] - pgx[j];
-                let dgy = gy[j] - pgy[j];
-                dv2 += dvx * dvx + dvy * dvy;
-                dg2 += dgx * dgx + dgy * dgy;
-                max_g = max_g.max(gx[j].abs()).max(gy[j].abs());
-            }
-        } else {
-            for (gx, gy) in gx.iter().zip(gy) {
-                max_g = max_g.max(gx.abs()).max(gy.abs());
-            }
-        }
-        [dv2, dg2, max_g]
-    }
-}
-
-xplace_parallel::avx2_dispatch! {
-    /// The Nesterov update of one node segment, clamped into `region` in
-    /// the same pass: saves the reference point `v` and gradient `g` into
-    /// `prev_v`, `prev_g`, steps the main solution `u` and extrapolates the
-    /// new reference point into `v`. Each pair is `[x, y]`; `size` is the
-    /// nodes' `[w, h]`.
-    fn nesterov_update(
-        step: f64,
-        coef: f64,
-        region: xplace_db::Rect,
-        v: [&mut [f64]; 2],
-        size: [&[f64]; 2],
-        g: [&[f64]; 2],
-        u: [&mut [f64]; 2],
-        prev_v: [&mut [f64]; 2],
-        prev_g: [&mut [f64]; 2],
-    ) {
-        let ([x, y], [w, h], [gx, gy]) = (v, size, g);
-        let ([ux, uy], [pvx, pvy], [pgx, pgy]) = (u, prev_v, prev_g);
-        let n = x.len();
-        let (y, w, h, gx, gy) = (&mut y[..n], &w[..n], &h[..n], &gx[..n], &gy[..n]);
-        let (ux, uy, pvx, pvy) = (&mut ux[..n], &mut uy[..n], &mut pvx[..n], &mut pvy[..n]);
-        let (pgx, pgy) = (&mut pgx[..n], &mut pgy[..n]);
-        for j in 0..n {
-            // Save the reference point and gradient for BB.
-            pvx[j] = x[j];
-            pvy[j] = y[j];
-            pgx[j] = gx[j];
-            pgy[j] = gy[j];
-            // u_{k+1} = v_k - step * g(v_k)
-            let ux_new = x[j] - step * gx[j];
-            let uy_new = y[j] - step * gy[j];
-            // v_{k+1} = u_{k+1} + coef * (u_{k+1} - u_k)
-            let vx = ux_new + coef * (ux_new - ux[j]);
-            let vy = uy_new + coef * (uy_new - uy[j]);
-            (x[j], y[j]) = clamp_center(region, w[j], h[j], vx, vy);
-            ux[j] = ux_new;
-            uy[j] = uy_new;
-        }
-    }
-}
-
 /// The optimizable node ranges `[movable, filler]` of `model`.
 fn optimizable_ranges(model: &PlacementModel) -> [Range<usize>; 2] {
     let r = model.ranges();
@@ -407,79 +348,6 @@ mod tests {
         for i in model.optimizable_indices() {
             gx[i] = model.x[i] - tx;
             gy[i] = model.y[i] - ty;
-        }
-    }
-
-    /// The AVX2 builds of both host passes equal their portable builds
-    /// bit for bit, on random segments that include out-of-region points
-    /// (so the clamp bites on both sides).
-    #[test]
-    fn host_passes_agree_across_builds() {
-        if !xplace_parallel::simd::avx2_or_note("host_passes_agree_across_builds") {
-            return;
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let region = xplace_db::Rect::new(0.0, 0.0, 100.0, 50.0);
-        let mut rng = xplace_testkit::Rng::seed_from_u64(5);
-        for n in [0, 1, 3, 4, 7, 64, 1001] {
-            let mut r = |scale: f64| -> Vec<f64> {
-                (0..n).map(|_| (rng.f64() * 1.4 - 0.2) * scale).collect()
-            };
-            let (x, y, w, h) = (r(100.0), r(50.0), r(8.0), r(8.0));
-            let (gx, gy, ux, uy) = (r(3.0), r(3.0), r(100.0), r(50.0));
-            let (pvx, pvy, pgx, pgy) = (r(100.0), r(50.0), r(3.0), r(3.0));
-            for have_prev in [false, true] {
-                let want = step_sums::portable(
-                    [0.5, 0.25, 0.1],
-                    have_prev,
-                    [&x, &y],
-                    [&pvx, &pvy],
-                    [&gx, &gy],
-                    [&pgx, &pgy],
-                );
-                // SAFETY: the CPU supports AVX2.
-                let got = unsafe {
-                    step_sums::avx2(
-                        [0.5, 0.25, 0.1],
-                        have_prev,
-                        [&x, &y],
-                        [&pvx, &pvy],
-                        [&gx, &gy],
-                        [&pgx, &pgy],
-                    )
-                };
-                assert_eq!(bits(&got), bits(&want), "sums, n = {n}");
-            }
-            let mut runs = [(); 2].map(|_| {
-                let bufs = [&x, &y, &ux, &uy, &pvx, &pvy, &pgx, &pgy];
-                bufs.map(|b| b.clone())
-            });
-            for (k, [x, y, ux, uy, pvx, pvy, pgx, pgy]) in runs.iter_mut().enumerate() {
-                let args = (
-                    [&mut x[..], &mut y[..]],
-                    [&w[..], &h[..]],
-                    [&gx[..], &gy[..]],
-                    [&mut ux[..], &mut uy[..]],
-                    [&mut pvx[..], &mut pvy[..]],
-                    [&mut pgx[..], &mut pgy[..]],
-                );
-                if k == 0 {
-                    nesterov_update::portable(
-                        0.7, 0.3, region, args.0, args.1, args.2, args.3, args.4, args.5,
-                    );
-                } else {
-                    // SAFETY: the CPU supports AVX2.
-                    unsafe {
-                        nesterov_update::avx2(
-                            0.7, 0.3, region, args.0, args.1, args.2, args.3, args.4, args.5,
-                        )
-                    };
-                }
-            }
-            let [a, b] = &runs;
-            for (a, b) in a.iter().zip(b) {
-                assert_eq!(bits(a), bits(b), "update, n = {n}");
-            }
         }
     }
 

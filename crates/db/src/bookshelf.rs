@@ -867,39 +867,15 @@ mod tests {
     #[test]
     fn non_finite_net_numerics_are_rejected_naming_the_net() {
         let mut data = BookshelfData::default();
-        let err = parse_wts(
-            "UCLA wts 1.0
-n0 1
-n1 nan
-",
-            &mut data,
-        )
-        .unwrap_err();
+        let err = parse_wts("UCLA wts 1.0\nn0 1\nn1 nan\n", &mut data).unwrap_err();
         assert_parse_error(err, "wts", 3, "`n1`");
-        let err = parse_wts(
-            "n0 inf
-", &mut data,
-        )
-        .unwrap_err();
+        let err = parse_wts("n0 inf\n", &mut data).unwrap_err();
         assert_parse_error(err, "wts", 1, "non-finite or negative weight");
-        let nets = "NetDegree : 2 n0
- a B : 0 0
- b B : nan 1
-";
+        let nets = "NetDegree : 2 n0\n a B : 0 0\n b B : nan 1\n";
         let err = parse_nets(nets, &mut data).unwrap_err();
-        assert_parse_error(
-            err,
-            "nets",
-            3,
-            "net `n0` pin on `b` has a non-finite offset",
-        );
-        let err = parse_nets(
-            "NetDegree : 1 n0
- a B : 0 -inf
-",
-            &mut data,
-        )
-        .unwrap_err();
+        let needle = "net `n0` pin on `b` has a non-finite offset";
+        assert_parse_error(err, "nets", 3, needle);
+        let err = parse_nets("NetDegree : 1 n0\n a B : 0 -inf\n", &mut data).unwrap_err();
         assert_parse_error(err, "nets", 2, "non-finite offset");
     }
 
@@ -907,34 +883,25 @@ n1 nan
     fn a_net_with_fewer_or_more_pins_than_its_degree_is_rejected() {
         for (text, line, needle) in [
             (
-                "NetDegree : 7 big
- a B : 0 0
- b B : 0 0
-",
+                "NetDegree : 7 big\n a B : 0 0\n b B : 0 0\n",
                 1,
                 "net `big` declares degree 7 but lists 2 pins",
             ),
             (
-                "NetDegree : 2 n0
- a B
- b B
- c B
-NetDegree : 2 n1
- a B
- b B
-",
+                "NetDegree : 2 n0\n a B\n b B\n c B\nNetDegree : 2 n1\n a B\n b B\n",
                 1,
                 "declares degree 2 but lists 3 pins",
             ),
             (
-                "NetDegree : 2 n0
- a B
- b B
-NetDegree : 3 n1
- a B
-",
+                "NetDegree : 2 n0\n a B\n b B\nNetDegree : 3 n1\n a B\n",
                 4,
                 "net `n1` declares degree 3 but lists 1 pins",
+            ),
+            // A degree no file could hold is an error, not an allocation.
+            (
+                "NetDegree : 18446744073709551615 huge\n a B\n",
+                1,
+                "declares degree 18446744073709551615 but lists 1 pins",
             ),
         ] {
             let err = parse_nets(text, &mut BookshelfData::default()).unwrap_err();

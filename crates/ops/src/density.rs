@@ -600,15 +600,8 @@ impl DensityOp {
             field_y: self.solution.field_y.as_slice(),
         };
         let mut norm = 0.0;
-        gradient_nodes::run(
-            &pass,
-            model,
-            ranges.movable,
-            grad_x,
-            grad_y,
-            Some(&mut norm),
-        );
-        gradient_nodes::run(&pass, model, ranges.filler, grad_x, grad_y, None);
+        pass.run(model, ranges.movable, grad_x, grad_y, Some(&mut norm));
+        pass.run(model, ranges.filler, grad_x, grad_y, None);
         norm
     }
 }
@@ -625,24 +618,23 @@ struct GradientPass<'a> {
     field_y: &'a [f64],
 }
 
-xplace_parallel::avx2_dispatch! {
-    /// [`DensityOp::gradient_pass`] over the nodes `range`, summing their
-    /// norm into `norm` when given.
-    fn gradient_nodes(
-        pass: &GradientPass<'_>,
+impl GradientPass<'_> {
+    /// The pass over the nodes `range`, summing their norm into `norm`
+    /// when given.
+    fn run(
+        &self,
         model: &PlacementModel,
         range: std::ops::Range<usize>,
         grad_x: &mut [f64],
         grad_y: &mut [f64],
-        norm: Option<&mut f64>,
+        mut norm: Option<&mut f64>,
     ) {
-        let mut norm = norm;
-        let (inv_bw, inv_bh, lambda) = (pass.inv_bw, pass.inv_bh, pass.lambda);
+        let (inv_bw, inv_bh, lambda) = (self.inv_bw, self.inv_bh, self.lambda);
         for i in range {
-            let bx = (((model.x[i] - pass.region.lx) * inv_bw) as usize).min(pass.nx - 1);
-            let by = (((model.y[i] - pass.region.ly) * inv_bh) as usize).min(pass.ny - 1);
-            let bin = bx * pass.ny + by;
-            let (ex, ey) = (pass.field_x[bin], pass.field_y[bin]);
+            let bx = (((model.x[i] - self.region.lx) * inv_bw) as usize).min(self.nx - 1);
+            let by = (((model.y[i] - self.region.ly) * inv_bh) as usize).min(self.ny - 1);
+            let bin = bx * self.ny + by;
+            let (ex, ey) = (self.field_x[bin], self.field_y[bin]);
             let q = model.node_area(i);
             if let Some(norm) = norm.as_deref_mut() {
                 *norm += (q * ex * inv_bw).abs() + (q * ey * inv_bh).abs();
@@ -867,15 +859,14 @@ mod tests {
     props! {
         config = Config::with_cases(16);
 
-        /// The AVX2 builds of the accumulation and the fused gradient pass
-        /// equal their portable builds bit for bit.
-        fn density_passes_agree_across_builds(case in oracle_case()) {
-            if !xplace_parallel::simd::avx2_or_note("density_passes_agree_across_builds") {
+        /// The AVX2 build of the accumulation equals its portable build bit
+        /// for bit.
+        fn accumulation_agrees_across_builds(case in oracle_case()) {
+            if !xplace_parallel::simd::avx2_or_note("accumulation_agrees_across_builds") {
                 return Ok(());
             }
             let (model, node_block) = case;
-            let device = Device::new(DeviceConfig::instant());
-            let mut op = DensityOp::new(&model).unwrap();
+            let op = DensityOp::new(&model).unwrap();
             let (nx, ny) = model.grid_dims();
             let binning = Binning::new(&model, nx, ny);
             let n = model.num_nodes();
@@ -888,27 +879,6 @@ mod tests {
                 unsafe { accumulate_nodes::avx2(&binning, &model, nodes, &op.footprints, &mut oy, &mut got) };
                 prop_assert!(same_bits(&got, &want), "map differs from node {lo}");
             }
-            op.accumulate_all(&device, &model);
-            op.solve_field(&device).unwrap();
-            let pass = GradientPass {
-                region: model.region(),
-                inv_bw: 1.0 / model.bin_w(),
-                inv_bh: 1.0 / model.bin_h(),
-                nx,
-                ny,
-                lambda: 0.75,
-                field_x: op.field().field_x.as_slice(),
-                field_y: op.field().field_y.as_slice(),
-            };
-            let start: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
-            let (mut gx0, mut gy0, mut norm0) = (start.clone(), start.clone(), 0.0);
-            gradient_nodes::portable(&pass, &model, 0..n, &mut gx0, &mut gy0, Some(&mut norm0));
-            let (mut gx1, mut gy1, mut norm1) = (start.clone(), start, 0.0);
-            // SAFETY: the CPU supports AVX2.
-            unsafe { gradient_nodes::avx2(&pass, &model, 0..n, &mut gx1, &mut gy1, Some(&mut norm1)) };
-            prop_assert!(norm0.to_bits() == norm1.to_bits(), "norm {norm0} vs {norm1}");
-            prop_assert!(gx0.iter().chain(&gy0).zip(gx1.iter().chain(&gy1)).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "gradients differ");
         }
     }
 

@@ -18,7 +18,7 @@ use xplace_device::KernelInfo;
 /// The preconditioner diagonal `max(1, |S_i| + lambda A_i)` of node `i`;
 /// the gradient of every optimizable node is divided by it (fillers have
 /// `|S_i| = 0` and are preconditioned by area only).
-#[inline(always)]
+#[inline]
 pub fn diagonal(model: &PlacementModel, lambda: f64, i: usize) -> f64 {
     (model.node_degree[i] as f64 + lambda * model.node_area(i)).max(1.0)
 }

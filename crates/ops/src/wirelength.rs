@@ -94,12 +94,12 @@ pub struct FusedWirelength {
     pub hpwl: f64,
 }
 
-#[inline(always)]
+#[inline]
 fn net_range(model: &PlacementModel, e: usize) -> (usize, usize) {
     (model.net_start[e] as usize, model.net_start[e + 1] as usize)
 }
 
-#[inline(always)]
+#[inline]
 fn pin_pos(model: &PlacementModel, p: usize) -> (f64, f64) {
     let n = model.pin_node[p] as usize;
     (model.x[n] + model.pin_dx[p], model.y[n] + model.pin_dy[p])
@@ -238,7 +238,7 @@ fn net_exps(x: &[f64], y: &[f64], lo: [f64; 2], hi: [f64; 2], inv_gamma: f64, a:
 /// exponentials, so the result is bit-identical to it. `grad(p, dx, dy)`
 /// receives each pin's weighted-average derivatives in pin order.
 /// Returns `(hpwl, wa)`, both unweighted.
-#[inline(always)]
+#[inline]
 fn wa_net(
     model: &PlacementModel,
     s: usize,
@@ -284,41 +284,37 @@ fn wa_net(
     (hpwl, wa)
 }
 
-xplace_parallel::avx2_dispatch! {
-    /// Serial WA pass over the net range `nets`, accumulating weighted
-    /// gradients into `grad` when given (the four lanes of every pin run
-    /// as one AVX2 vector where the CPU has it).
-    fn wa_pass(
-        model: &PlacementModel,
-        gamma: f64,
-        nets: std::ops::Range<usize>,
-        cache: &mut PinCache,
-        grad: Option<(&mut [f64], &mut [f64])>,
-    ) -> FusedWirelength {
-        let mut grad = grad;
-        let nm = model.num_movable();
-        let inv_gamma = 1.0 / gamma;
-        let mut out = FusedWirelength::default();
-        for e in nets {
-            let (s, t) = net_range(model, e);
-            if t - s < 2 {
-                continue;
-            }
-            let weight = model.net_weight[e];
-            let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
-                if let Some((gx, gy)) = grad.as_mut() {
-                    let n = model.pin_node[p] as usize;
-                    if n < nm {
-                        gx[n] += weight * dx;
-                        gy[n] += weight * dy;
-                    }
-                }
-            });
-            out.hpwl += weight * hpwl;
-            out.wa += weight * wa;
+/// Serial WA pass over the net range `nets`, accumulating weighted
+/// gradients into `grad` when given.
+fn wa_pass(
+    model: &PlacementModel,
+    gamma: f64,
+    nets: std::ops::Range<usize>,
+    cache: &mut PinCache,
+    mut grad: Option<(&mut [f64], &mut [f64])>,
+) -> FusedWirelength {
+    let nm = model.num_movable();
+    let inv_gamma = 1.0 / gamma;
+    let mut out = FusedWirelength::default();
+    for e in nets {
+        let (s, t) = net_range(model, e);
+        if t - s < 2 {
+            continue;
         }
-        out
+        let weight = model.net_weight[e];
+        let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
+            if let Some((gx, gy)) = grad.as_mut() {
+                let n = model.pin_node[p] as usize;
+                if n < nm {
+                    gx[n] += weight * dx;
+                    gy[n] += weight * dy;
+                }
+            }
+        });
+        out.hpwl += weight * hpwl;
+        out.wa += weight * wa;
     }
+    out
 }
 
 /// [`wa_pass`] over every net with a fresh pin cache, for the kernels that
@@ -328,7 +324,7 @@ fn wa_pass_all(
     gamma: f64,
     grad: Option<(&mut [f64], &mut [f64])>,
 ) -> FusedWirelength {
-    wa_pass::run(
+    wa_pass(
         model,
         gamma,
         0..model.num_nets(),
@@ -500,7 +496,7 @@ pub fn wa_fused_blocked_ws(
     if blocks == 1 {
         let pins = &mut ws.slots[0].pins;
         return device.launch(fused_kernel(model), || {
-            wa_pass::run(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
+            wa_pass(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
         });
     }
     device.launch(fused_kernel(model), || {
@@ -510,7 +506,7 @@ pub fn wa_fused_blocked_ws(
             slot.grad_x.fill(0.0);
             slot.grad_y.fill(0.0);
             let grad = Some((&mut slot.grad_x[..], &mut slot.grad_y[..]));
-            wa_pass::run(model, gamma, lo..hi, &mut slot.pins, grad)
+            wa_pass(model, gamma, lo..hi, &mut slot.pins, grad)
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
@@ -785,30 +781,6 @@ mod tests {
                 prop_assert!(bits(&gx1) == bits(&gx0), "grad_x differs (gamma {gamma})");
                 prop_assert!(bits(&gy1) == bits(&gy0), "grad_y differs (gamma {gamma})");
             }
-        }
-    }
-
-    props! {
-        config = Config::with_cases(24);
-
-        /// The AVX2 build of the WA pass equals its portable build bit for
-        /// bit: both sums and every gradient entry.
-        fn wa_pass_agrees_across_builds(case in oracle_case()) {
-            if !xplace_parallel::simd::avx2_or_note("wa_pass_agrees_across_builds") {
-                return Ok(());
-            }
-            let (model, gamma) = case;
-            let nm = model.num_movable();
-            let nets = 0..model.num_nets();
-            let (mut gx0, mut gy0) = (vec![0.0; nm], vec![0.0; nm]);
-            let mut cache = PinCache::default();
-            let want = wa_pass::portable(&model, gamma, nets.clone(), &mut cache, Some((&mut gx0, &mut gy0)));
-            let (mut gx1, mut gy1) = (vec![0.0; nm], vec![0.0; nm]);
-            // SAFETY: the CPU supports AVX2.
-            let got = unsafe { wa_pass::avx2(&model, gamma, nets, &mut cache, Some((&mut gx1, &mut gy1))) };
-            prop_assert!(got.wa.to_bits() == want.wa.to_bits() && got.hpwl.to_bits() == want.hpwl.to_bits(),
-                "sums {got:?} vs {want:?}");
-            prop_assert!(bits(&gx1) == bits(&gx0) && bits(&gy1) == bits(&gy0), "gradients differ");
         }
     }
 
