@@ -108,13 +108,15 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         if line.is_empty() || line.starts_with("UCLA") {
             continue;
         }
-        if let Some(count) = parse_count(line, "NumNodes", "nodes", lineno)? {
-            num_nodes = Some(count);
-            continue;
-        }
-        if let Some(count) = parse_count(line, "NumTerminals", "nodes", lineno)? {
-            num_terminals = Some(count);
-            continue;
+        if line.starts_with("Num") {
+            if let Some(count) = parse_count(line, "NumNodes", "nodes", lineno)? {
+                num_nodes = Some(count);
+                continue;
+            }
+            if let Some(count) = parse_count(line, "NumTerminals", "nodes", lineno)? {
+                num_terminals = Some(count);
+                continue;
+            }
         }
         let mut it = line.split_whitespace();
         let name = it
@@ -199,13 +201,15 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
         if line.is_empty() || line.starts_with("UCLA") {
             continue;
         }
-        if let Some(count) = parse_count(line, "NumNets", "nets", lineno)? {
-            num_nets = Some(count);
-            continue;
-        }
-        if let Some(count) = parse_count(line, "NumPins", "nets", lineno)? {
-            num_pins = Some(count);
-            continue;
+        if line.starts_with("Num") {
+            if let Some(count) = parse_count(line, "NumNets", "nets", lineno)? {
+                num_nets = Some(count);
+                continue;
+            }
+            if let Some(count) = parse_count(line, "NumPins", "nets", lineno)? {
+                num_pins = Some(count);
+                continue;
+            }
         }
         if let Some(rest) = line.strip_prefix("NetDegree") {
             if let Some(net) = current.take() {
@@ -237,16 +241,14 @@ fn parse_nets(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
                 .to_string();
             let mut dx: f64 = 0.0;
             let mut dy: f64 = 0.0;
-            let rest: Vec<&str> = it.collect();
-            if let Some(colon) = rest.iter().position(|t| *t == ":") {
-                if rest.len() >= colon + 3 {
-                    dx = rest[colon + 1].parse().map_err(|_| {
-                        DbError::parse("nets", lineno, "pin x offset is not a number")
-                    })?;
-                    dy = rest[colon + 2].parse().map_err(|_| {
-                        DbError::parse("nets", lineno, "pin y offset is not a number")
-                    })?;
-                }
+            let mut offsets = it.skip_while(|t| *t != ":").skip(1);
+            if let (Some(x), Some(y)) = (offsets.next(), offsets.next()) {
+                dx = x
+                    .parse()
+                    .map_err(|_| DbError::parse("nets", lineno, "pin x offset is not a number"))?;
+                dy = y
+                    .parse()
+                    .map_err(|_| DbError::parse("nets", lineno, "pin y offset is not a number"))?;
             }
             if !dx.is_finite() || !dy.is_finite() {
                 return Err(DbError::parse(
