@@ -75,11 +75,12 @@ impl NesterovOptimizer {
         self.last_step
     }
 
-    /// The optimizable node ranges with the offset `k0` of each range's
-    /// first node in the optimizer's vectors.
-    fn segments(&self) -> [(usize, Range<usize>); 2] {
+    /// The optimizable node ranges, each with the range `ks` its nodes
+    /// take in the optimizer's vectors.
+    fn segments(&self) -> [(Range<usize>, Range<usize>); 2] {
         let [movable, filler] = self.nodes.clone();
-        [(0, movable.clone()), (movable.len(), filler)]
+        let nm = movable.len();
+        [(0..nm, movable), (nm..nm + filler.len(), filler)]
     }
 
     /// The step length: the Barzilai–Borwein prediction `|Δv| / |Δg|` from
@@ -91,8 +92,7 @@ impl NesterovOptimizer {
     /// passes would produce.
     fn predict_step(&self, model: &PlacementModel, gx: &[f64], gy: &[f64]) -> f64 {
         let (mut dv2, mut dg2, mut max_g) = (0.0, 0.0, 0.0f64);
-        for (k0, r) in self.segments() {
-            let ks = k0..k0 + r.len();
+        for (ks, r) in self.segments() {
             let (x, y) = (&model.x[r.clone()], &model.y[r.clone()]);
             let (gx, gy) = (&gx[r.clone()], &gy[r]);
             if !self.have_prev {
@@ -168,8 +168,7 @@ impl NesterovOptimizer {
         let coef = (self.a - 1.0) / a_new;
         let region = model.region();
         device.launch(kernel, || {
-            for (k0, r) in self.segments() {
-                let ks = k0..k0 + r.len();
+            for (ks, r) in self.segments() {
                 let (x, y) = (&mut model.x[r.clone()], &mut model.y[r.clone()]);
                 let (w, h) = (&model.w[r.clone()], &model.h[r.clone()]);
                 let (gx, gy) = (&gx[r.clone()], &gy[r]);
@@ -285,8 +284,7 @@ impl NesterovOptimizer {
     /// model — call once after the final iteration so the reported
     /// placement is the converged solution.
     pub fn write_u(&self, model: &mut PlacementModel) {
-        for (k0, r) in self.segments() {
-            let ks = k0..k0 + r.len();
+        for (ks, r) in self.segments() {
             model.x[r.clone()].copy_from_slice(&self.u_x[ks.clone()]);
             model.y[r].copy_from_slice(&self.u_y[ks]);
         }

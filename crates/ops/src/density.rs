@@ -570,8 +570,8 @@ impl DensityOp {
     /// 3. divides the gradient by the preconditioner
     ///    [`crate::precond::diagonal`].
     ///
-    /// Each node goes through the same operations as the three separate
-    /// passes this replaces, and the norm sums movable cells in index
+    /// Each node goes through the same operations as in three separate
+    /// passes (the test oracle), and the norm sums movable cells in index
     /// order, so every output bit is theirs. Runs on the host with no
     /// launch of its own: the caller charges the `density_gradient` and
     /// `precondition` kernels.
