@@ -21,8 +21,9 @@ use std::path::{Path, PathBuf};
 /// In-memory contents of a Bookshelf benchmark (pre-assembly).
 #[derive(Debug, Clone, Default)]
 struct BookshelfData {
-    /// name -> (width, height, is_terminal_keyword)
-    nodes: Vec<(String, f64, f64, bool)>,
+    /// name -> (width, height, the kind its `terminal`/`terminal_NI`
+    /// keyword fixes, if any)
+    nodes: Vec<(String, f64, f64, Option<CellKind>)>,
     /// net name -> pins (cell name, offset from center)
     nets: Vec<(String, Vec<(String, Point)>)>,
     /// name -> (lower-left x, lower-left y, fixed)
@@ -98,6 +99,16 @@ fn check_count(
     }
 }
 
+/// The kind of a fixed node of size `w` x `h`: a macro that blocks rows,
+/// or a terminal when it has no area.
+fn fixed_kind(w: f64, h: f64) -> CellKind {
+    if w * h > 0.0 {
+        CellKind::Fixed
+    } else {
+        CellKind::Terminal
+    }
+}
+
 fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
     let mut seen: HashSet<&str> = HashSet::new();
     let (mut num_nodes, mut num_terminals) = (None, None);
@@ -148,13 +159,15 @@ fn parse_nodes(content: &str, data: &mut BookshelfData) -> Result<(), DbError> {
                 format!("duplicate node name `{name}`"),
             ));
         }
-        let kind = it.next();
-        // `terminal_NI` (ISPD 2015) counts toward `NumTerminals` too.
-        if kind.is_some_and(|t| t.to_ascii_lowercase().starts_with("terminal")) {
-            terminals += 1;
-        }
-        let terminal = kind.is_some_and(|t| t.eq_ignore_ascii_case("terminal"));
-        data.nodes.push((name.to_string(), w, h, terminal));
+        let kind = match it.next() {
+            Some(t) if t.eq_ignore_ascii_case("terminal") => Some(fixed_kind(w, h)),
+            // ISPD 2015's "non-image" terminal: fixed, but cells may sit on
+            // it, so it never blocks rows, whatever its size.
+            Some(t) if t.eq_ignore_ascii_case("terminal_NI") => Some(CellKind::Terminal),
+            _ => None,
+        };
+        terminals += usize::from(kind.is_some());
+        data.nodes.push((name.to_string(), w, h, kind));
     }
     if data.nodes.is_empty() {
         return Err(DbError::parse("nodes", 0, "no node records found"));
@@ -421,18 +434,14 @@ fn assemble(name: &str, data: BookshelfData, target_density: f64) -> Result<Desi
     let mut builder = NetlistBuilder::with_capacity(data.nodes.len(), data.nets.len(), 0);
     let mut ids: HashMap<String, CellId> = HashMap::with_capacity(data.nodes.len());
     let mut dims: HashMap<String, (f64, f64)> = HashMap::with_capacity(data.nodes.len());
-    for (node_name, w, h, terminal_kw) in &data.nodes {
+    for (node_name, w, h, node_kind) in &data.nodes {
         let fixed = data.placements.get(node_name).map(|p| p.2).unwrap_or(false);
-        let kind = if *terminal_kw || fixed {
-            if *w * *h > 0.0 {
-                CellKind::Fixed
-            } else {
-                CellKind::Terminal
-            }
-        } else {
-            CellKind::Movable
+        let kind = match node_kind {
+            Some(kind) => *kind,
+            None if fixed => fixed_kind(*w, *h),
+            None => CellKind::Movable,
         };
-        let id = builder.add_cell(node_name.clone(), *w, *h, kind);
+        let id = builder.add_cell(node_name.clone(), *w, *h, kind)?;
         ids.insert(node_name.clone(), id);
         dims.insert(node_name.clone(), (*w, *h));
     }
@@ -559,17 +568,18 @@ pub fn write_design(design: &Design, dir: &Path) -> Result<PathBuf, DbError> {
     let _ = writeln!(nodes, "NumNodes : {}", nl.num_cells());
     let _ = writeln!(nodes, "NumTerminals : {terminals}");
     for c in nl.cells() {
-        if c.is_movable() {
-            let _ = writeln!(nodes, "\t{} {} {}", c.name(), c.width(), c.height());
-        } else {
-            let _ = writeln!(
-                nodes,
-                "\t{} {} {} terminal",
-                c.name(),
-                c.width(),
-                c.height()
-            );
-        }
+        let keyword = match c.kind() {
+            CellKind::Movable => "",
+            CellKind::Terminal if c.area() > 0.0 => " terminal_NI",
+            _ => " terminal",
+        };
+        let _ = writeln!(
+            nodes,
+            "\t{} {} {}{keyword}",
+            c.name(),
+            c.width(),
+            c.height()
+        );
     }
 
     let mut nets = String::from("UCLA nets 1.0\n");
@@ -1040,6 +1050,50 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("/FIXED"));
         assert!(text.starts_with("UCLA pl 1.0"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn terminal_ni_nodes_are_fixed_terminals_and_round_trip() {
+        let mut data = BookshelfData::default();
+        parse_nodes(
+            "UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\n a 2 12\n b 2 12\n io 4 4 terminal_NI\n",
+            &mut data,
+        )
+        .unwrap();
+        parse_nets(
+            "NetDegree : 3 n0\n a B : 0 0\n b B : 0 0\n io B : 0 0\n",
+            &mut data,
+        )
+        .unwrap();
+        // No `/FIXED` in the `.pl`: the `.nodes` keyword alone fixes `io`.
+        parse_pl("a 0 0 : N\nb 8 0 : N\nio 20 12 : N\n", &mut data).unwrap();
+        data.rows.push(Row {
+            y: 0.0,
+            height: 12.0,
+            x_min: 0.0,
+            x_max: 40.0,
+            site_width: 1.0,
+        });
+        let d = assemble("ni", data, 0.9).unwrap();
+        let stats = crate::stats::DesignStats::of(&d);
+        assert_eq!(
+            (stats.num_movable, stats.num_fixed, stats.num_terminals),
+            (2, 0, 1)
+        );
+        let io = d.netlist().cell_by_name("io").unwrap();
+        assert_eq!(d.netlist().cell(io).kind(), CellKind::Terminal);
+        // Lower-left (20, 12) of a 4 x 4 node.
+        assert_eq!(d.position(io), Point::new(22.0, 14.0));
+
+        let dir = temp_dir("ni");
+        let aux = write_design(&d, &dir).unwrap();
+        let text = fs::read_to_string(dir.join("ni.nodes")).unwrap();
+        assert!(text.contains("io 4 4 terminal_NI"), "{text}");
+        let back = read_aux(&aux, 0.9).unwrap();
+        let io = back.netlist().cell_by_name("io").unwrap();
+        assert_eq!(back.netlist().cell(io).kind(), CellKind::Terminal);
+        assert_eq!(back.position(io), Point::new(22.0, 14.0));
         let _ = fs::remove_dir_all(&dir);
     }
 }

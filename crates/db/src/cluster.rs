@@ -174,7 +174,7 @@ pub fn coarsen(design: &Design) -> Result<CoarseLevel, DbError> {
             } else {
                 cell.name().to_string()
             };
-            let id = builder.add_cell(name, cell.width(), cell.height(), cell.kind());
+            let id = builder.add_cell(name, cell.width(), cell.height(), cell.kind())?;
             positions.push(design.position(id_u));
             id
         } else {
@@ -186,7 +186,7 @@ pub fn coarsen(design: &Design) -> Result<CoarseLevel, DbError> {
                 width,
                 row_height,
                 CellKind::Movable,
-            );
+            )?;
             let (pu, pv) = (design.position(id_u), design.position(matched[u]));
             let (au, av) = (cell.area(), other.area());
             positions.push(Point::new(

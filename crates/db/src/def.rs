@@ -147,7 +147,8 @@ fn parse_placed_point(tokens: &[&str], at: usize) -> Option<Point> {
 ///
 /// # Errors
 ///
-/// Returns [`DbError::Parse`] on malformed records, and
+/// Returns [`DbError::Parse`] on malformed records and on a component or
+/// pin name given twice (naming the line and the name), and
 /// [`DbError::UnknownCell`] when a component references an unknown master
 /// or a net references an unknown component.
 pub fn parse_def(
@@ -265,7 +266,11 @@ pub fn parse_def(
                 } else {
                     CellKind::Movable
                 };
-                let id = builder.add_cell(comp.clone(), master.width, master.height, kind);
+                let id = builder
+                    .add_cell(comp.clone(), master.width, master.height, kind)
+                    .map_err(|_| {
+                        DbError::parse("def", lineno + 1, format!("duplicate component `{comp}`"))
+                    })?;
                 ids.insert(comp.clone(), id);
                 masters.insert(comp.clone(), master_name.to_string());
                 if let Some(at) = tokens.iter().position(|t| *t == "PLACED" || *t == "FIXED") {
@@ -301,7 +306,11 @@ pub fn parse_def(
                     .and_then(|at| parse_placed_point(&tokens, at))
                     .unwrap_or_default();
                 let term_name = format!("__pin_{pin_name}");
-                let id = builder.add_cell(term_name.clone(), 0.0, 0.0, CellKind::Terminal);
+                let id = builder
+                    .add_cell(term_name.clone(), 0.0, 0.0, CellKind::Terminal)
+                    .map_err(|_| {
+                        DbError::parse("def", lineno + 1, format!("duplicate pin `{pin_name}`"))
+                    })?;
                 ids.insert(term_name.clone(), id);
                 placements.insert(term_name, (pos, true));
                 io_pins.insert(pin_name, (net, pos));
@@ -336,7 +345,7 @@ pub fn parse_def(
                                         0.0,
                                         0.0,
                                         CellKind::Terminal,
-                                    );
+                                    )?;
                                     ids.insert(term_name.clone(), id);
                                     placements.insert(term_name, (pos, true));
                                     id
@@ -592,6 +601,21 @@ END DESIGN
         let n1 = d.netlist().net(crate::NetId(0));
         let pin = d.netlist().pin(n1.pins().next().unwrap());
         assert!((pin.offset.x - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn duplicate_component_or_pin_names_are_parse_errors() {
+        let lib = parse_lef(LEF).unwrap();
+        // Line 9 is the second component record, line 14 the second pin.
+        let renamed = DEF.replace("- u2 INV", "- u1 INV");
+        let err = parse_def(&renamed, &lib, 0.9).unwrap_err();
+        assert_eq!(err, DbError::parse("def", 9, "duplicate component `u1`"));
+        let twice = DEF.replace(
+            "- clk + NET n2 + PLACED ( 0 60 ) N ;\n",
+            "- clk + NET n2 + PLACED ( 0 60 ) N ;\n- clk + NET n2 + PLACED ( 0 70 ) N ;\n",
+        );
+        let err = parse_def(&twice, &lib, 0.9).unwrap_err();
+        assert_eq!(err, DbError::parse("def", 14, "duplicate pin `clk`"));
     }
 
     #[test]

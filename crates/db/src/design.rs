@@ -380,9 +380,9 @@ mod tests {
 
     fn tiny_design() -> Design {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 2.0, 2.0, CellKind::Movable);
-        let c = b.add_cell("c", 2.0, 2.0, CellKind::Movable);
-        let f = b.add_cell("f", 4.0, 4.0, CellKind::Fixed);
+        let a = b.add_cell("a", 2.0, 2.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 2.0, 2.0, CellKind::Movable).unwrap();
+        let f = b.add_cell("f", 4.0, 4.0, CellKind::Fixed).unwrap();
         b.add_net("n0", vec![(a, Point::default()), (c, Point::default())])
             .unwrap();
         b.add_net("n1", vec![(a, Point::new(0.5, 0.5)), (f, Point::default())])
@@ -438,7 +438,7 @@ mod tests {
     #[test]
     fn position_count_mismatch_is_rejected() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         let nl = b.finish().unwrap();
         let err = Design::new(
             "bad",
@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn bad_target_density_is_rejected() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         let nl = b.finish().unwrap();
         let err = Design::new(
             "bad",
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn oversized_movable_cell_fails_validation() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("huge", 50.0, 1.0, CellKind::Movable);
+        b.add_cell("huge", 50.0, 1.0, CellKind::Movable).unwrap();
         let nl = b.finish().unwrap();
         let d = Design::new(
             "bad",
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn single_pin_net_has_zero_hpwl() {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         b.add_net("n", vec![(a, Point::default())]).unwrap();
         let nl = b.finish().unwrap();
         let d = Design::new(

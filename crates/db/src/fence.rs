@@ -168,9 +168,9 @@ mod tests {
 
     fn base_design() -> Design {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 2.0, 4.0, CellKind::Movable);
-        let c = b.add_cell("c", 2.0, 4.0, CellKind::Movable);
-        let f = b.add_cell("f", 4.0, 4.0, CellKind::Fixed);
+        let a = b.add_cell("a", 2.0, 4.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 2.0, 4.0, CellKind::Movable).unwrap();
+        let f = b.add_cell("f", 4.0, 4.0, CellKind::Fixed).unwrap();
         b.add_net(
             "n",
             vec![

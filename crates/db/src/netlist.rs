@@ -12,7 +12,7 @@
 //! the arrays for call sites that want the object-shaped API.
 
 use crate::{DbError, Point};
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 use std::fmt;
 use std::ops::Range;
 use xplace_testkit::{FromJson, Json, JsonError, ToJson};
@@ -612,8 +612,8 @@ impl FromJson for Netlist {
 ///
 /// # fn main() -> Result<(), xplace_db::DbError> {
 /// let mut b = NetlistBuilder::new();
-/// let a = b.add_cell("a", 2.0, 1.0, CellKind::Movable);
-/// let c = b.add_cell("c", 3.0, 1.0, CellKind::Fixed);
+/// let a = b.add_cell("a", 2.0, 1.0, CellKind::Movable)?;
+/// let c = b.add_cell("c", 3.0, 1.0, CellKind::Fixed)?;
 /// b.add_net("n1", vec![(a, Point::default()), (c, Point::new(0.5, 0.0))])?;
 /// let netlist = b.finish()?;
 /// assert_eq!(netlist.num_cells(), 2);
@@ -670,27 +670,35 @@ impl NetlistBuilder {
 
     /// Adds a cell and returns its id.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a cell with the same name already exists.
+    /// Returns [`DbError::InvalidDesign`] if a cell with the same name
+    /// already exists; the builder is left unchanged.
     pub fn add_cell(
         &mut self,
         name: impl Into<String>,
         width: f64,
         height: f64,
         kind: CellKind,
-    ) -> CellId {
+    ) -> Result<CellId, DbError> {
         let name = name.into();
         let id = CellId(self.cells.len() as u32);
-        let prev = self.name_to_cell.insert(name.clone(), id);
-        assert!(prev.is_none(), "duplicate cell name `{name}`");
-        self.cells.push(Cell {
-            name,
-            width,
-            height,
-            kind,
-        });
-        id
+        match self.name_to_cell.entry(name) {
+            Entry::Occupied(e) => Err(DbError::InvalidDesign(format!(
+                "duplicate cell name `{}`",
+                e.key()
+            ))),
+            Entry::Vacant(e) => {
+                self.cells.push(Cell {
+                    name: e.key().clone(),
+                    width,
+                    height,
+                    kind,
+                });
+                e.insert(id);
+                Ok(id)
+            }
+        }
     }
 
     /// Adds a weighted net connecting `(cell, pin_offset)` pairs.
@@ -781,9 +789,9 @@ mod tests {
 
     fn tiny() -> Netlist {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
-        let c = b.add_cell("c", 2.0, 1.0, CellKind::Movable);
-        let t = b.add_cell("t", 0.0, 0.0, CellKind::Terminal);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 2.0, 1.0, CellKind::Movable).unwrap();
+        let t = b.add_cell("t", 0.0, 0.0, CellKind::Terminal).unwrap();
         b.add_net("n0", vec![(a, Point::default()), (c, Point::new(0.5, 0.0))])
             .unwrap();
         b.add_net(
@@ -867,7 +875,7 @@ mod tests {
     #[test]
     fn unknown_cell_is_rejected() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         let err = b
             .add_net("n", vec![(CellId(5), Point::default())])
             .unwrap_err();
@@ -877,7 +885,7 @@ mod tests {
     #[test]
     fn rejected_net_leaves_the_builder_consistent() {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         // A net whose *second* pin is bad must not leave half a span.
         assert!(b
             .add_net(
@@ -894,24 +902,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate cell name")]
-    fn duplicate_names_panic() {
+    fn duplicate_names_are_an_error_and_leave_the_builder_unchanged() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("a", 1.0, 1.0, CellKind::Movable);
-        b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let err = b.add_cell("a", 2.0, 2.0, CellKind::Fixed).unwrap_err();
+        assert!(
+            matches!(&err, DbError::InvalidDesign(m) if m.contains("duplicate cell name `a`")),
+            "{err}"
+        );
+        assert_eq!(b.num_cells(), 1);
+        let nl = b.finish().unwrap();
+        assert_eq!(nl.cell_by_name("a"), Some(a));
+        assert_eq!(nl.cell(a).width(), 1.0);
     }
 
     #[test]
     fn zero_area_movable_cell_is_rejected() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("a", 0.0, 1.0, CellKind::Movable);
+        b.add_cell("a", 0.0, 1.0, CellKind::Movable).unwrap();
         assert!(matches!(b.finish(), Err(DbError::InvalidDesign(_))));
     }
 
     #[test]
     fn zero_area_terminal_is_allowed() {
         let mut b = NetlistBuilder::new();
-        b.add_cell("pad", 0.0, 0.0, CellKind::Terminal);
+        b.add_cell("pad", 0.0, 0.0, CellKind::Terminal).unwrap();
         assert!(b.finish().is_ok());
     }
 

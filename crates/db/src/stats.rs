@@ -132,9 +132,9 @@ mod tests {
     #[test]
     fn stats_count_each_kind() {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
-        let m = b.add_cell("m", 3.0, 3.0, CellKind::Fixed);
-        let t = b.add_cell("t", 0.0, 0.0, CellKind::Terminal);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let m = b.add_cell("m", 3.0, 3.0, CellKind::Fixed).unwrap();
+        let t = b.add_cell("t", 0.0, 0.0, CellKind::Terminal).unwrap();
         b.add_net(
             "n",
             vec![

@@ -417,7 +417,7 @@ pub fn synthesize(spec: &SynthesisSpec) -> Result<Design, DbError> {
             1 + (7.0 * u * u * u).round() as usize
         };
         let w = sites as f64 * site_width;
-        let id = builder.add_cell(format!("o{i}"), w, spec.row_height, CellKind::Movable);
+        let id = builder.add_cell(format!("o{i}"), w, spec.row_height, CellKind::Movable)?;
         movable_area += w * spec.row_height;
         widest_cell = widest_cell.max(w);
         cell_ids.push(id);
@@ -471,7 +471,7 @@ pub fn synthesize(spec: &SynthesisSpec) -> Result<Design, DbError> {
             let cy = (gy as f64 + 0.5) * pitch_y + jitter_y;
             // Snap to row grid for realism.
             let cy = (cy / spec.row_height).round() * spec.row_height;
-            let id = builder.add_cell(format!("m{m}"), side, side, CellKind::Fixed);
+            let id = builder.add_cell(format!("m{m}"), side, side, CellKind::Fixed)?;
             macro_ids.push(id);
             macro_pos.push(Point::new(
                 cx.clamp(side * 0.5, width - side * 0.5),
@@ -484,7 +484,7 @@ pub fn synthesize(spec: &SynthesisSpec) -> Result<Design, DbError> {
     let mut terminal_ids = Vec::with_capacity(spec.num_terminals);
     let mut terminal_pos = Vec::with_capacity(spec.num_terminals);
     for t in 0..spec.num_terminals {
-        let id = builder.add_cell(format!("p{t}"), 0.0, 0.0, CellKind::Terminal);
+        let id = builder.add_cell(format!("p{t}"), 0.0, 0.0, CellKind::Terminal)?;
         let side = rng.gen_range(0..4u8);
         let frac: f64 = rng.f64();
         let p = match side {

@@ -123,8 +123,8 @@ mod tests {
 
     fn two_cell_design(p0: Point, p1: Point) -> Design {
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 2.0, 4.0, CellKind::Movable);
-        let c = b.add_cell("c", 2.0, 4.0, CellKind::Movable);
+        let a = b.add_cell("a", 2.0, 4.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 2.0, 4.0, CellKind::Movable).unwrap();
         b.add_net("n", vec![(a, Point::default()), (c, Point::default())])
             .unwrap();
         let nl = b.finish().unwrap();

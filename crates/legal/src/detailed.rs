@@ -441,7 +441,7 @@ mod tests {
         use xplace_db::netlist::{CellKind, NetlistBuilder};
         use xplace_db::Rect;
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 0.0, 0.0, CellKind::Terminal);
+        let a = b.add_cell("a", 0.0, 0.0, CellKind::Terminal).unwrap();
         b.add_net("n", vec![(a, Point::default())]).unwrap();
         let nl = b.finish().unwrap();
         let mut d = Design::new(

@@ -489,7 +489,9 @@ mod tests {
         let mut b = NetlistBuilder::new();
         let mut pins = Vec::new();
         for i in 0..6 {
-            let id = b.add_cell(format!("c{i}"), 4.0, 4.0, CellKind::Movable);
+            let id = b
+                .add_cell(format!("c{i}"), 4.0, 4.0, CellKind::Movable)
+                .unwrap();
             pins.push((id, Point::default()));
         }
         b.add_net("n", pins).unwrap();

@@ -216,8 +216,8 @@ mod tests {
         use xplace_db::netlist::{CellKind as CK, NetlistBuilder};
         use xplace_db::Point;
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 2.0, 4.0, CK::Movable);
-        let c = b.add_cell("c", 2.0, 4.0, CK::Movable);
+        let a = b.add_cell("a", 2.0, 4.0, CK::Movable).unwrap();
+        let c = b.add_cell("c", 2.0, 4.0, CK::Movable).unwrap();
         b.add_net("n", vec![(a, Point::default()), (c, Point::default())])
             .unwrap();
         let nl = b.finish().unwrap();

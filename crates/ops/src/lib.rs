@@ -41,6 +41,7 @@
 
 pub mod density;
 mod error;
+mod exp;
 mod model;
 pub mod precond;
 pub mod wirelength;

@@ -543,7 +543,7 @@ mod tests {
     fn empty_movable_design_is_rejected() {
         use xplace_db::netlist::{CellKind, NetlistBuilder};
         let mut b = NetlistBuilder::new();
-        let f = b.add_cell("f", 2.0, 2.0, CellKind::Fixed);
+        let f = b.add_cell("f", 2.0, 2.0, CellKind::Fixed).unwrap();
         b.add_net("n", vec![(f, Point::default()), (f, Point::new(0.5, 0.0))])
             .unwrap();
         let nl = b.finish().unwrap();

@@ -148,12 +148,17 @@ type Lanes = [f64; 4];
 const SIGN: Lanes = [1.0, -1.0, 1.0, -1.0];
 
 /// `arg.exp()`, counted per thread in test builds so the tests can pin how
-/// many exponentials a WA pass evaluates.
+/// many exponentials a WA pass evaluates. With `PORT` it is glibc's own
+/// `exp` inlined ([`crate::exp`]), which returns the same bits.
 #[inline(always)]
-fn counted_exp(arg: f64) -> f64 {
+fn counted_exp<const PORT: bool>(arg: f64) -> f64 {
     #[cfg(test)]
     EXP_CALLS.with(|c| c.set(c.get() + 1));
-    arg.exp()
+    if PORT {
+        crate::exp::exp(arg)
+    } else {
+        arg.exp()
+    }
 }
 
 #[cfg(test)]
@@ -184,8 +189,19 @@ fn exp_args(vx: f64, vy: f64, lo: [f64; 2], hi: [f64; 2], inv_gamma: f64) -> Lan
 /// (`min - max` times `inv_gamma`, once as `v0 - max` and once as
 /// `min - v1`, or the mirror), so one call serves the axis; its values are
 /// picked by comparing argument bits, without a data-dependent branch.
+///
+/// No `exp` call sits in a closure: a closure is compiled without the
+/// AVX2+FMA build's features, so the inlined port's `mul_add`s would
+/// become libm calls.
 #[inline(always)]
-fn net_exps(x: &[f64], y: &[f64], lo: [f64; 2], hi: [f64; 2], inv_gamma: f64, a: &mut [Lanes]) {
+fn net_exps<const PORT: bool>(
+    x: &[f64],
+    y: &[f64],
+    lo: [f64; 2],
+    hi: [f64; 2],
+    inv_gamma: f64,
+    a: &mut [Lanes],
+) {
     if let ([x0, x1], [y0, y1], [a0, a1]) = (x, y, &mut *a) {
         let (p0, p1) = (
             exp_args(*x0, *y0, lo, hi, inv_gamma),
@@ -197,32 +213,41 @@ fn net_exps(x: &[f64], y: &[f64], lo: [f64; 2], hi: [f64; 2], inv_gamma: f64, a:
             } else {
                 p0[axis + 1]
             };
-            let e = counted_exp(off);
-            let pick = |arg: f64| {
-                let same = arg.to_bits() == off.to_bits();
-                if !same && arg != 0.0 {
-                    // Only a non-finite coordinate or gamma gets here.
-                    return counted_exp(arg);
-                }
-                if same {
-                    e
-                } else {
-                    1.0
-                }
-            };
-            (a0[axis], a0[axis + 1]) = (pick(p0[axis]), pick(p0[axis + 1]));
-            (a1[axis], a1[axis + 1]) = (pick(p1[axis]), pick(p1[axis + 1]));
+            let e = counted_exp::<PORT>(off);
+            for j in [axis, axis + 1] {
+                a0[j] = picked_exp::<PORT>(p0[j], off, e);
+            }
+            for j in [axis, axis + 1] {
+                a1[j] = picked_exp::<PORT>(p1[j], off, e);
+            }
         }
         return;
     }
     for ((&vx, &vy), a) in x.iter().zip(y).zip(a.iter_mut()) {
-        *a = exp_args(vx, vy, lo, hi, inv_gamma).map(|arg| {
-            if arg == 0.0 {
+        for (a, arg) in a.iter_mut().zip(exp_args(vx, vy, lo, hi, inv_gamma)) {
+            *a = if arg == 0.0 {
                 1.0
             } else {
-                counted_exp(arg)
-            }
-        });
+                counted_exp::<PORT>(arg)
+            };
+        }
+    }
+}
+
+/// The exponential of `arg` in a degree-2 net's axis whose off-extreme
+/// argument `off` has the exponential `e`: `e` for `arg` bitwise equal to
+/// `off`, `1.0` for `±0`.
+#[inline(always)]
+fn picked_exp<const PORT: bool>(arg: f64, off: f64, e: f64) -> f64 {
+    let same = arg.to_bits() == off.to_bits();
+    if !same && arg != 0.0 {
+        // Only a non-finite coordinate or gamma gets here.
+        return counted_exp::<PORT>(arg);
+    }
+    if same {
+        e
+    } else {
+        1.0
     }
 }
 
@@ -238,8 +263,8 @@ fn net_exps(x: &[f64], y: &[f64], lo: [f64; 2], hi: [f64; 2], inv_gamma: f64, a:
 /// exponentials, so the result is bit-identical to it. `grad(p, dx, dy)`
 /// receives each pin's weighted-average derivatives in pin order.
 /// Returns `(hpwl, wa)`, both unweighted.
-#[inline]
-fn wa_net(
+#[inline(always)]
+fn wa_net<const PORT: bool>(
     model: &PlacementModel,
     s: usize,
     t: usize,
@@ -263,7 +288,7 @@ fn wa_net(
         min_y = min_y.min(*py);
         max_y = max_y.max(*py);
     }
-    net_exps(x, y, [min_x, min_y], [max_x, max_y], inv_gamma, a);
+    net_exps::<PORT>(x, y, [min_x, min_y], [max_x, max_y], inv_gamma, a);
     let (mut sum, mut usum) = ([0.0; 4], [0.0; 4]);
     for ((&vx, &vy), a) in x.iter().zip(y.iter()).zip(a.iter()) {
         let v = [vx, vx, vy, vy];
@@ -284,9 +309,28 @@ fn wa_net(
     (hpwl, wa)
 }
 
-/// Serial WA pass over the net range `nets`, accumulating weighted
-/// gradients into `grad` when given.
-fn wa_pass(
+xplace_parallel::avx2_dispatch! {
+    /// Serial WA pass over the net range `nets`, accumulating weighted
+    /// gradients into `grad` when given. The AVX2+FMA build inlines
+    /// glibc's own `exp` ([`crate::exp`]) when it matches libm here.
+    fn wa_pass<const FMA: bool>(
+        model: &PlacementModel,
+        gamma: f64,
+        nets: std::ops::Range<usize>,
+        cache: &mut PinCache,
+        grad: Option<(&mut [f64], &mut [f64])>,
+    ) -> FusedWirelength {
+        if FMA && crate::exp::use_port() {
+            wa_nets::<true>(model, gamma, nets, cache, grad)
+        } else {
+            wa_nets::<false>(model, gamma, nets, cache, grad)
+        }
+    }
+}
+
+/// The body of [`wa_pass`], with the exponential `counted_exp::<PORT>`.
+#[inline(always)]
+fn wa_nets<const PORT: bool>(
     model: &PlacementModel,
     gamma: f64,
     nets: std::ops::Range<usize>,
@@ -302,7 +346,7 @@ fn wa_pass(
             continue;
         }
         let weight = model.net_weight[e];
-        let (hpwl, wa) = wa_net(model, s, t, inv_gamma, cache, |p, dx, dy| {
+        let (hpwl, wa) = wa_net::<PORT>(model, s, t, inv_gamma, cache, |p, dx, dy| {
             if let Some((gx, gy)) = grad.as_mut() {
                 let n = model.pin_node[p] as usize;
                 if n < nm {
@@ -324,7 +368,7 @@ fn wa_pass_all(
     gamma: f64,
     grad: Option<(&mut [f64], &mut [f64])>,
 ) -> FusedWirelength {
-    wa_pass(
+    wa_pass::run(
         model,
         gamma,
         0..model.num_nets(),
@@ -496,7 +540,7 @@ pub fn wa_fused_blocked_ws(
     if blocks == 1 {
         let pins = &mut ws.slots[0].pins;
         return device.launch(fused_kernel(model), || {
-            wa_pass(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
+            wa_pass::run(model, gamma, 0..num_nets, pins, Some((grad_x, grad_y)))
         });
     }
     device.launch(fused_kernel(model), || {
@@ -506,7 +550,7 @@ pub fn wa_fused_blocked_ws(
             slot.grad_x.fill(0.0);
             slot.grad_y.fill(0.0);
             let grad = Some((&mut slot.grad_x[..], &mut slot.grad_y[..]));
-            wa_pass(model, gamma, lo..hi, &mut slot.pins, grad)
+            wa_pass::run(model, gamma, lo..hi, &mut slot.pins, grad)
         });
         // Merge in block order: fixed reduction order for any thread count.
         let mut total = FusedWirelength::default();
@@ -784,17 +828,69 @@ mod tests {
         }
     }
 
+    /// [`wa_pass`] over every net in its portable build, or in its
+    /// AVX2+FMA build when `avx2`; `None` when the CPU cannot run that.
+    fn pass_in(
+        avx2: bool,
+        model: &PlacementModel,
+        gamma: f64,
+        grad: Option<(&mut [f64], &mut [f64])>,
+    ) -> Option<FusedWirelength> {
+        let (nets, cache) = (0..model.num_nets(), &mut PinCache::default());
+        if !avx2 {
+            return Some(wa_pass::portable(model, gamma, nets, cache, grad));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if xplace_parallel::simd::avx2() {
+            // SAFETY: the CPU supports AVX2 and FMA.
+            return Some(unsafe { wa_pass::avx2(model, gamma, nets, cache, grad) });
+        }
+        None
+    }
+
+    props! {
+        config = Config::with_cases(40);
+
+        /// The portable build (libm `exp`) and the AVX2+FMA build (the
+        /// inlined port) agree bit for bit on the sums and every gradient
+        /// entry, with ties at the extremes and degree-1 nets.
+        fn wa_pass_agrees_across_builds(case in oracle_case()) {
+            if !xplace_parallel::simd::avx2_or_note("wa_pass_agrees_across_builds") {
+                return Ok(());
+            }
+            let (model, gamma) = case;
+            let nm = model.num_movable();
+            let (mut gx0, mut gy0) = (vec![0.0; nm], vec![0.0; nm]);
+            let want = pass_in(false, &model, gamma, Some((&mut gx0, &mut gy0))).unwrap();
+            let (mut gx1, mut gy1) = (vec![0.0; nm], vec![0.0; nm]);
+            let got = pass_in(true, &model, gamma, Some((&mut gx1, &mut gy1))).unwrap();
+            prop_assert!(got.wa.to_bits() == want.wa.to_bits(),
+                "wa {} vs {} (gamma {gamma})", got.wa, want.wa);
+            prop_assert!(got.hpwl.to_bits() == want.hpwl.to_bits(),
+                "hpwl {} vs {}", got.hpwl, want.hpwl);
+            prop_assert!(bits(&gx1) == bits(&gx0), "grad_x differs (gamma {gamma})");
+            prop_assert!(bits(&gy1) == bits(&gy0), "grad_y differs (gamma {gamma})");
+        }
+    }
+
     /// Each net with two or more pins saves at least one exponential per
     /// axis and direction (its extreme pin), so a pass evaluates at most
     /// `4 * pins - 4 * nets` of them instead of `4 * pins`; a degree-2 net
-    /// evaluates one per axis.
+    /// evaluates one per axis. Both builds evaluate the same ones.
     #[test]
     fn wa_pass_skips_the_exponentials_of_extreme_pins() {
         let (model, _) = setup(2000);
+        let avx2 =
+            xplace_parallel::simd::avx2_or_note("wa_pass_skips_the_exponentials_of_extreme_pins");
         let exps = |model: &PlacementModel| {
             EXP_CALLS.with(|c| c.set(0));
-            wa_pass_all(model, 4.0, None);
-            EXP_CALLS.with(|c| c.get())
+            pass_in(false, model, 4.0, None);
+            let portable = EXP_CALLS.with(|c| c.replace(0));
+            if avx2 {
+                pass_in(true, model, 4.0, None);
+                assert_eq!(EXP_CALLS.with(|c| c.get()), portable, "AVX2 build");
+            }
+            portable
         };
         let (pins, nets) = (0..model.num_nets())
             .map(|e| net_range(&model, e))
@@ -811,6 +907,11 @@ mod tests {
         two_pin.net_weight = vec![1.0; two_pin.net_start.len() - 1];
         two_pin.pin_node.truncate(all as usize);
         assert_eq!(exps(&two_pin), 2 * two_pin.num_nets());
+        // `xplace synth design 10000 --seed 42` at its initial positions:
+        // 150,628 exponentials without the skips.
+        let spec = SynthesisSpec::new("design", 10_000, 10_500).with_seed(42);
+        let model = PlacementModel::from_design(&synthesize(&spec).unwrap()).unwrap();
+        assert_eq!(exps(&model), 100_120);
     }
 
     fn setup(cells: usize) -> (PlacementModel, Device) {

@@ -315,7 +315,7 @@ mod tests {
         use xplace_db::netlist::{CellKind, NetlistBuilder};
         use xplace_db::Rect;
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
         b.add_net("n", vec![(a, Point::default())]).unwrap();
         let nl = b.finish().unwrap();
         let d = xplace_db::Design::new(
@@ -337,8 +337,8 @@ mod tests {
         use xplace_db::netlist::{CellKind, NetlistBuilder};
         use xplace_db::Rect;
         let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable);
-        let c = b.add_cell("c", 1.0, 1.0, CellKind::Movable);
+        let a = b.add_cell("a", 1.0, 1.0, CellKind::Movable).unwrap();
+        let c = b.add_cell("c", 1.0, 1.0, CellKind::Movable).unwrap();
         b.add_net("n", vec![(a, Point::default()), (c, Point::default())])
             .unwrap();
         let nl = b.finish().unwrap();

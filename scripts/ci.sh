@@ -148,6 +148,26 @@ EOF
         || { echo "FAIL: a hostile .$CASE spent retries" >&2; exit 1; }
 done
 
+echo "==> hostile input: a terminal_NI node is a fixed terminal, not a movable cell"
+# ISPD 2015's non-image terminal: fixed by its .nodes keyword alone (the
+# .pl line has no /FIXED), so place must write it where the .pl put it.
+NI="$SMOKE/ni"
+mkdir -p "$NI"
+printf 'RowBasedPlacement : ni.nodes ni.nets ni.pl ni.scl\n' > "$NI/ni.aux"
+printf 'UCLA nodes 1.0\nNumNodes : 3\nNumTerminals : 1\n a 2 12\n b 2 12\n io 4 4 terminal_NI\n' \
+    > "$NI/ni.nodes"
+printf 'UCLA nets 1.0\nNumNets : 1\nNumPins : 3\nNetDegree : 3 n0\n a B : 0 0\n b B : 0 0\n io B : 0 0\n' \
+    > "$NI/ni.nets"
+printf 'UCLA pl 1.0\na 0 0 : N\nb 8 0 : N\nio 20 12 : N\n' > "$NI/ni.pl"
+for Y in 0 12; do
+    printf 'CoreRow Horizontal\n  Coordinate : %s\n  Height : 12\n  Sitewidth : 1\n  SubrowOrigin : 0 NumSites : 40\nEnd\n' "$Y"
+done | { printf 'UCLA scl 1.0\nNumRows : 2\n'; cat; } > "$NI/ni.scl"
+./target/release/xplace stats "$NI/ni.aux" | grep -q "(2 movable, 0 fixed, 1 terminals)" \
+    || { echo "FAIL: stats does not count the terminal_NI node as a terminal" >&2; exit 1; }
+./target/release/xplace place "$NI/ni.aux" --max-iters 30 -o "$NI/out.pl" >/dev/null
+grep -q "^io 20.000000 12.000000 " "$NI/out.pl" \
+    || { echo "FAIL: place moved the terminal_NI node" >&2; exit 1; }
+
 echo "==> resume determinism: checkpointed place resumes byte-identically (threads 1, 4)"
 for T in 1 4; do
     ./target/release/xplace place "$SMOKE/ci-smoke.aux" --max-iters 120 --threads "$T" \

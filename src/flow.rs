@@ -235,7 +235,7 @@ fn inflated_design(design: &Design, inflation: &[f64]) -> Result<Design, DbError
         } else {
             c.width()
         };
-        b.add_cell(c.name(), w, c.height(), c.kind());
+        b.add_cell(c.name(), w, c.height(), c.kind())?;
     }
     for net in nl.nets() {
         let pins: Vec<(xplace_db::CellId, Point)> = net
@@ -309,7 +309,10 @@ mod tests {
         let n_hub = 40usize;
         let mut ids = Vec::new();
         for i in 0..n_bg + n_hub {
-            ids.push(b.add_cell(format!("c{i}"), 2.0, 12.0, CellKind::Movable));
+            ids.push(
+                b.add_cell(format!("c{i}"), 2.0, 12.0, CellKind::Movable)
+                    .unwrap(),
+            );
         }
         // Background: loose chain.
         for i in 0..n_bg - 1 {
